@@ -1,27 +1,23 @@
-// Command s2sserve is the measurement query service: a long-running
-// daemon pair (plus a coordinator) answering HTTP/JSON queries over an
-// archived dataset store, replicated primary/backup so a killed server
-// costs availability only until the next view change:
+// Command s2sserve is the measurement query service: interchangeable
+// daemons answering HTTP/JSON queries over one archived dataset store.
+// Replicas share nothing — every answer is a deterministic function of the
+// sealed archive, stamped with its identity (X-S2S-Archive) — so a killed
+// replica costs its clients one failed attempt before they fail over:
 //
-//	s2sserve view    the view service: tracks replica liveness by pings
-//	                 and publishes numbered (primary, backup) views
 //	s2sserve serve   one query replica: serves /api/{series,paths,summary,
-//	                 pairs,meta} over a store when primary, absorbs
-//	                 forwarded state when backup
-//	s2sserve loadgen a synthetic client fleet against a running service:
+//	                 pairs,meta} over a store
+//	s2sserve loadgen a synthetic client fleet against running replicas:
 //	                 concurrent querents with seeded zipfian pair
-//	                 popularity, reporting throughput and latency
-//	                 percentiles
-//	s2sserve bench   in-process benchmark: view service + two replicas +
-//	                 fleet sweeps (cache on/off), JSON to -o
+//	                 popularity, failing over across the replica list,
+//	                 reporting throughput and latency percentiles
 //	s2sserve chaos   chaos drill: an in-process deployment under a seeded
-//	                 network-fault schedule, a scripted partition of the
-//	                 primary mid-load, and a safety verdict (no
-//	                 acknowledged digest contradicted, bounded recovery)
+//	                 network-fault schedule, a scripted partition of one
+//	                 replica mid-load, and a safety verdict (no two
+//	                 replicas ever disagree on an acknowledged answer)
 //
-// Every daemon carries the standard ops surface on its listen address —
+// The serve daemon carries the standard ops surface on its listen address —
 // /metrics, /healthz, /runz, /flight/tail, /debug/pprof — next to its
-// protocol endpoints, and drains gracefully on SIGINT/SIGTERM: in-flight
+// query endpoints, and drains gracefully on SIGINT/SIGTERM: in-flight
 // requests finish, the flight record is flushed, exit status 0.
 //
 // Exit codes: 0 success (including signal-initiated shutdown), 1 error,
@@ -35,9 +31,7 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -59,11 +53,9 @@ func main() {
 
 func usage() error {
 	fmt.Fprintf(os.Stderr, `usage:
-  s2sserve view    -addr :7400 [-dead-pings N] [-tick D] [-trace F]
-  s2sserve serve   -data DIR -view URL [-addr :7401] [-name URL] [-cache N]
-                   [-max-inflight N] [-interval D] [-ping D] [-trace F] [-metrics F]
-  s2sserve loadgen -view URL [-fleet N] [-requests N] [-seed N] [-zipf S] [-o F]
-  s2sserve bench   -data DIR [-o BENCH_009.json] [-seed N] [-per N] [-fleets CSV]
+  s2sserve serve   -data DIR [-addr :7401] [-name URL] [-cache N]
+                   [-max-inflight N] [-interval D] [-trace F] [-metrics-interval D]
+  s2sserve loadgen -replicas URL,URL... [-fleet N] [-requests N] [-seed N] [-zipf S] [-o F]
   s2sserve chaos   -data DIR [-seed N] [-replicas N] [-fleet N] [-max-inflight N]
                    [-horizon D] [-partition-after D] [-partition-for D]
                    [-trace F] [-o F]
@@ -77,14 +69,10 @@ func run(args []string) error {
 		return usage()
 	}
 	switch args[0] {
-	case "view":
-		return runView(args[1:])
 	case "serve":
 		return runServe(args[1:])
 	case "loadgen":
 		return runLoadgen(args[1:])
-	case "bench":
-		return runBench(args[1:])
 	case "chaos":
 		return runChaos(args[1:])
 	default:
@@ -119,61 +107,15 @@ func heartbeat(rec *flight.Recorder, iv time.Duration, shutdown func() bool) {
 	}
 }
 
-func runView(args []string) error {
-	fs := newFlagSet("view")
-	var (
-		addr      = fs.String("addr", ":7400", "listen address")
-		deadPings = fs.Int("dead-pings", serve.DefaultDeadPings, "ticks of silence before a replica is dead")
-		tick      = fs.Duration("tick", time.Second, "liveness tick (= expected replica ping interval)")
-		tracePath = fs.String("trace", "", "write a flight record to this file")
-		metricsIV = fs.Duration("metrics-interval", 5*time.Second, "metric snapshot cadence")
-		quiet     = fs.Bool("q", false, "suppress progress output")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	log := obs.NewLogger("s2sserve", *quiet)
-	reg := obs.NewRegistry()
-	rec, err := newRecorder(*tracePath, "s2sserve-view", reg, *metricsIV)
-	if err != nil {
-		return err
-	}
-	vs := serve.NewViewService(serve.ViewOptions{
-		DeadPings: *deadPings, Registry: reg, Recorder: rec, Logger: log,
-	})
-	vh := vs.Handler()
-	srv, err := ops.Start(*addr, ops.Options{
-		Tool: "s2sserve-view", Registry: reg, Recorder: rec, Logger: log,
-		Extra: map[string]http.Handler{"/view": vh, "/ping": vh},
-	})
-	if err != nil {
-		return err
-	}
-	alert.New(alert.Options{Registry: reg, Logger: log, Health: srv.Health()}).Attach(rec)
-
-	shutdown := obs.TrapShutdown()
-	go heartbeat(rec, *metricsIV, shutdown)
-	t := time.NewTicker(*tick)
-	defer t.Stop()
-	for !shutdown() {
-		<-t.C
-		vs.Tick()
-	}
-	return drain(srv, rec, log, "view service")
-}
-
 func runServe(args []string) error {
 	fs := newFlagSet("serve")
 	var (
 		dataPath  = fs.String("data", "", "dataset store directory (required)")
-		viewURL   = fs.String("view", "", "view service base URL (required)")
 		addr      = fs.String("addr", ":7401", "listen address (ops + query endpoints)")
 		name      = fs.String("name", "", "advertised base URL (default derived from -addr)")
 		cacheN    = fs.Int("cache", 1024, "hot-pair cache entries (0 disables)")
 		maxInF    = fs.Int("max-inflight", 0, "bound on concurrent /api/* queries; excess is shed with 503 (0 = unlimited)")
 		interval  = fs.Duration("interval", 3*time.Hour, "dataset measurement cadence (summary slot width)")
-		pingIV    = fs.Duration("ping", time.Second, "view service ping interval")
-		workers   = fs.Int("workers", runtime.NumCPU(), "store scan workers")
 		tracePath = fs.String("trace", "", "write a flight record to this file")
 		metricsIV = fs.Duration("metrics-interval", 5*time.Second, "metric snapshot cadence")
 		quiet     = fs.Bool("q", false, "suppress progress output")
@@ -181,8 +123,8 @@ func runServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *dataPath == "" || *viewURL == "" {
-		return fmt.Errorf("serve: -data and -view are required")
+	if *dataPath == "" {
+		return fmt.Errorf("serve: -data is required")
 	}
 	self := *name
 	if self == "" {
@@ -197,19 +139,19 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	be, err := serve.OpenBackend(*dataPath, serve.BackendConfig{Workers: *workers, Interval: *interval})
+	be, err := serve.OpenBackend(*dataPath, serve.BackendConfig{Interval: *interval})
 	if err != nil {
 		return err
 	}
 	be.Store().Instrument(reg)
 	be.Store().Trace(rec)
 	meta, _ := be.Meta()
-	log.Printf("store %s: %d records, %d shards, bgp=%t", *dataPath, meta.Records, meta.Shards, meta.HasBGP)
+	log.Printf("store %s: %d records, %d shards, bgp=%t, archive %s",
+		*dataPath, meta.Records, meta.Shards, meta.HasBGP, be.ArchiveID())
 
 	r := serve.NewReplica(serve.ReplicaOptions{
-		Name: self, ViewURL: *viewURL, Backend: be,
-		CacheEntries: *cacheN, MaxInFlight: *maxInF,
-		Registry: reg, Recorder: rec, Logger: log,
+		Name: self, Backend: be,
+		CacheEntries: *cacheN, MaxInFlight: *maxInF, Registry: reg,
 	})
 	srv, err := ops.Start(*addr, ops.Options{
 		Tool: "s2sserve", Registry: reg, Recorder: rec, Logger: log,
@@ -219,16 +161,13 @@ func runServe(args []string) error {
 		return err
 	}
 	alert.New(alert.Options{Registry: reg, Logger: log, Health: srv.Health()}).Attach(rec)
-	log.Printf("replica %s pinging view service %s every %v", self, *viewURL, *pingIV)
-	r.Start(*pingIV)
+	log.Printf("replica %s serving", self)
 
-	shutdown := obs.TrapShutdown()
-	heartbeat(rec, *metricsIV, shutdown)
-	r.Close()
+	heartbeat(rec, *metricsIV, obs.TrapShutdown())
 	return drain(srv, rec, log, fmt.Sprintf("replica %s", self))
 }
 
-// drain is the daemons' graceful exit: stop accepting, finish in-flight
+// drain is the daemon's graceful exit: stop accepting, finish in-flight
 // requests, flush the flight record, exit 0.
 func drain(srv *ops.Server, rec *flight.Recorder, log *obs.Logger, what string) error {
 	log.Printf("shutdown requested: draining %s", what)
@@ -245,7 +184,8 @@ func drain(srv *ops.Server, rec *flight.Recorder, log *obs.Logger, what string) 
 	return nil
 }
 
-// deriveName turns a listen address into the advertised URL. An explicit
+// deriveName turns a listen address into the advertised URL (the
+// X-S2S-Served-By header). An explicit
 // host is kept; a bare ":port" advertises loopback. Ephemeral ports need
 // -name.
 func deriveName(addr string) (string, error) {
@@ -282,7 +222,7 @@ func fetchPairs(cl *serve.Client) ([]trace.PairKey, error) {
 func runLoadgen(args []string) error {
 	fs := newFlagSet("loadgen")
 	var (
-		viewURL  = fs.String("view", "", "view service base URL (required)")
+		replicas = fs.String("replicas", "", "comma-separated replica base URLs (required)")
 		fleet    = fs.Int("fleet", 100, "concurrent clients")
 		requests = fs.Int("requests", 1000, "total requests across the fleet")
 		seed     = fs.Int64("seed", 1, "request-schedule seed")
@@ -294,11 +234,12 @@ func runLoadgen(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *viewURL == "" {
-		return fmt.Errorf("loadgen: -view is required")
+	if *replicas == "" {
+		return fmt.Errorf("loadgen: -replicas is required")
 	}
+	names := strings.Split(*replicas, ",")
 	log := obs.NewLogger("s2sserve", *quiet)
-	cl := &serve.Client{VS: *viewURL, Timeout: *timeout}
+	cl := &serve.Client{Replicas: names, Timeout: *timeout}
 	pairs, err := fetchPairs(cl)
 	if err != nil {
 		return fmt.Errorf("loadgen: listing pairs: %w", err)
@@ -309,7 +250,7 @@ func runLoadgen(args []string) error {
 	log.Printf("fleet %d x %d requests over %d pairs (seed %d, zipf %.2f)",
 		*fleet, *requests, len(pairs), *seed, *zipfS)
 	res, err := serve.RunFleet(serve.LoadConfig{
-		VS: *viewURL, Fleet: *fleet, Requests: *requests,
+		Replicas: names, Fleet: *fleet, Requests: *requests,
 		Seed: *seed, ZipfS: *zipfS, Pairs: pairs, Timeout: *timeout,
 	})
 	if err != nil {
@@ -333,123 +274,8 @@ func printResult(log *obs.Logger, r *serve.LoadResult) {
 
 func us(v int64) string { return (time.Duration(v) * time.Microsecond).String() }
 
-// benchRun is one fleet sweep in the BENCH_009 output.
-type benchRun struct {
-	Name  string `json:"name"`
-	Cache bool   `json:"cache"`
-	serve.LoadResult
-	CacheHitRate float64 `json:"cache_hit_rate"`
-}
-
-// benchOut is the BENCH_009.json schema.
-type benchOut struct {
-	Schema    string     `json:"schema"`
-	Workload  string     `json:"workload"`
-	GoVersion string     `json:"go_version"`
-	GOOS      string     `json:"goos"`
-	GOARCH    string     `json:"goarch"`
-	CPUs      int        `json:"cpus"`
-	Seed      int64      `json:"seed"`
-	Pairs     int        `json:"pairs"`
-	Records   int64      `json:"records"`
-	PerClient int        `json:"requests_per_client"`
-	Runs      []benchRun `json:"benchmarks"`
-}
-
-func runBench(args []string) error {
-	fs := newFlagSet("bench")
-	var (
-		dataPath = fs.String("data", "", "dataset store directory (required)")
-		outPath  = fs.String("o", "BENCH_009.json", "output file")
-		seed     = fs.Int64("seed", 1, "request-schedule seed")
-		perC     = fs.Int("per", 10, "requests per client")
-		fleets   = fs.String("fleets", "100,1000,4000", "fleet sizes to sweep")
-		cacheN   = fs.Int("cache", 4096, "cache entries for the cache-on arms")
-		interval = fs.Duration("interval", 3*time.Hour, "dataset measurement cadence")
-		quiet    = fs.Bool("q", false, "suppress progress output")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *dataPath == "" {
-		return fmt.Errorf("bench: -data is required")
-	}
-	log := obs.NewLogger("s2sserve", *quiet)
-	var sizes []int
-	for _, s := range strings.Split(*fleets, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &n); err != nil || n <= 0 {
-			return fmt.Errorf("bench: bad fleet size %q", s)
-		}
-		sizes = append(sizes, n)
-	}
-	openBackend := func() (*serve.Backend, error) {
-		return serve.OpenBackend(*dataPath, serve.BackendConfig{Interval: *interval})
-	}
-	// One backend just for the universe + manifest.
-	be, err := openBackend()
-	if err != nil {
-		return err
-	}
-	keys, _ := be.Store().PairKeys()
-	meta, _ := be.Meta()
-	if len(keys) == 0 {
-		return fmt.Errorf("bench: store has no indexed pairs")
-	}
-	out := benchOut{
-		Schema:    "s2s-serve-bench/1",
-		Workload:  "replicated query service, synthetic zipfian fleet (see internal/serve/loadgen.go)",
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		CPUs:      runtime.NumCPU(),
-		Seed:      *seed,
-		Pairs:     len(keys),
-		Records:   meta.Records,
-		PerClient: *perC,
-	}
-	for _, cache := range []bool{true, false} {
-		entries := 0
-		if cache {
-			entries = *cacheN
-		}
-		d, err := serve.StartDeployment(serve.DeployConfig{
-			Replicas: 2, OpenBackend: openBackend, CacheEntries: entries,
-		})
-		if err != nil {
-			return err
-		}
-		for _, fleet := range sizes {
-			res, err := serve.RunFleet(serve.LoadConfig{
-				VS: d.VSURL, Fleet: fleet, Requests: fleet * *perC,
-				Seed: *seed, Pairs: keys,
-			})
-			if err != nil {
-				d.Close()
-				return err
-			}
-			run := benchRun{
-				Name:       fmt.Sprintf("fleet=%d/cache=%t", fleet, cache),
-				Cache:      cache,
-				LoadResult: *res,
-			}
-			if res.OK > 0 {
-				run.CacheHitRate = float64(res.CacheHits) / float64(res.OK)
-			}
-			out.Runs = append(out.Runs, run)
-			log.Printf("cache=%t %s", cache, resultLine(res))
-		}
-		d.Close()
-	}
-	if err := writeJSONFile(*outPath, out); err != nil {
-		return err
-	}
-	log.Printf("wrote %s", *outPath)
-	return nil
-}
-
 // runChaos is the chaos drill: an in-process deployment under a seeded
-// fault schedule, a scripted partition of the primary, and a safety
+// fault schedule, a scripted partition of one replica, and a safety
 // verdict — see internal/serve/chaos.RunDrill.
 func runChaos(args []string) error {
 	fs := newFlagSet("chaos")
@@ -461,11 +287,8 @@ func runChaos(args []string) error {
 		maxInflight = fs.Int("max-inflight", 2, "per-replica admission bound")
 		cacheN      = fs.Int("cache", 0, "hot-pair cache entries per replica")
 		horizon     = fs.Duration("horizon", 2*time.Second, "generated-noise horizon")
-		partAfter   = fs.Duration("partition-after", 600*time.Millisecond, "when to isolate the primary")
+		partAfter   = fs.Duration("partition-after", 600*time.Millisecond, "when to cut the first replica off from every client")
 		partFor     = fs.Duration("partition-for", 500*time.Millisecond, "how long the partition lasts")
-		pingIV      = fs.Duration("ping", 25*time.Millisecond, "view service ping interval")
-		deadPings   = fs.Int("dead-pings", 4, "ticks of silence before a replica is dead")
-		settle      = fs.Uint64("settle-views", 2, "view changes tolerated after the heal")
 		interval    = fs.Duration("interval", 3*time.Hour, "dataset measurement cadence")
 		tracePath   = fs.String("trace", "", "write the drill's flight record to this file")
 		metricsIV   = fs.Duration("metrics-interval", 250*time.Millisecond, "metric snapshot / alert cadence")
@@ -488,12 +311,9 @@ func runChaos(args []string) error {
 		Fleet:           *fleetN,
 		MaxInFlight:     *maxInflight,
 		CacheEntries:    *cacheN,
-		PingInterval:    *pingIV,
-		DeadPings:       *deadPings,
 		Horizon:         *horizon,
 		PartitionAfter:  *partAfter,
 		PartitionFor:    *partFor,
-		SettleViews:     *settle,
 		TracePath:       *tracePath,
 		MetricsInterval: *metricsIV,
 		Logger:          log,
@@ -501,12 +321,12 @@ func runChaos(args []string) error {
 	if err != nil {
 		return err
 	}
-	log.Printf("drill seed %d: %d acked / %d requests, %d shed, %d ping failures, %d retries, %d breaker trips",
-		rep.Seed, rep.Acked, rep.Requests, rep.Shed, rep.PingFailures, rep.Retries, rep.BreakerTrips)
+	log.Printf("drill seed %d: %d acked / %d requests, %d failovers, %d cut leaks, %d shed, %d retries, %d breaker trips",
+		rep.Seed, rep.Acked, rep.Requests, rep.Failovers, rep.CutLeaks, rep.Shed, rep.Retries, rep.BreakerTrips)
 	log.Printf("chaos injected: %d drops, %d delays, %d dup deliveries, %d replies lost",
 		rep.Drops, rep.Delays, rep.Dups, rep.RepliesLost)
-	log.Printf("views: %d at partition, %d at heal, %d final (%d post-heal); healed=%t safety_ok=%t",
-		rep.ViewAtPartition, rep.ViewAtHeal, rep.FinalView, rep.PostHealViews, rep.Healed, rep.SafetyOK)
+	log.Printf("partitioned %s; %d contradictions, %d requery errors; safety_ok=%t",
+		rep.Partitioned, rep.Contradictions, rep.RequeryErrors, rep.SafetyOK)
 	if *outPath != "" {
 		if err := writeJSONFile(*outPath, rep); err != nil {
 			return err
@@ -514,15 +334,10 @@ func runChaos(args []string) error {
 		log.Printf("wrote %s", *outPath)
 	}
 	if !rep.SafetyOK {
-		return fmt.Errorf("chaos: drill failed: contradictions=%d requery_errors=%d healed=%t post_heal_views=%d",
-			rep.Contradictions, rep.RequeryErrors, rep.Healed, rep.PostHealViews)
+		return fmt.Errorf("chaos: drill failed: contradictions=%d requery_errors=%d",
+			rep.Contradictions, rep.RequeryErrors)
 	}
 	return nil
-}
-
-func resultLine(r *serve.LoadResult) string {
-	return fmt.Sprintf("fleet=%d ok=%d errors=%d hits=%d %.0f req/s p50=%s p95=%s p99=%s",
-		r.Fleet, r.OK, r.Errors, r.CacheHits, r.RPS, us(r.P50us), us(r.P95us), us(r.P99us))
 }
 
 func writeJSONFile(path string, v any) error {

@@ -289,28 +289,6 @@ func TestAttachedEngineEmitsAlertEvents(t *testing.T) {
 	}
 }
 
-// TestViewFlapRule: repeated replication view changes within one interval
-// fire the flap alert; the steady trickle of a single failover does not.
-func TestViewFlapRule(t *testing.T) {
-	e, reg, h := newEngine(t, Config{})
-	changes := reg.Counter(famViewChanges, "")
-
-	changes.Add(1) // one failover this interval: fine
-	e.EvalBoundary(1 * time.Hour)
-	if len(h.active) != 0 {
-		t.Fatalf("view_flap fired on a single view change: %v", h.active)
-	}
-	changes.Add(4) // churning
-	e.EvalBoundary(2 * time.Hour)
-	if got := h.sets["view_flap"]; got != 1 {
-		t.Fatalf("view_flap fired %d times, want 1", got)
-	}
-	e.EvalBoundary(3 * time.Hour) // quiet again: resolves
-	if got := h.clears["view_flap"]; got != 1 {
-		t.Fatalf("view_flap resolved %d times, want 1", got)
-	}
-}
-
 // TestServeCacheCollapseRule: a hit rate under the floor fires only once
 // the lookup volume is meaningful.
 func TestServeCacheCollapseRule(t *testing.T) {
@@ -359,28 +337,6 @@ func TestLoadShedRule(t *testing.T) {
 	}
 }
 
-// TestPartitionSuspectRule: sustained view-service ping failures fire;
-// a single dropped ping does not.
-func TestPartitionSuspectRule(t *testing.T) {
-	e, reg, h := newEngine(t, Config{})
-	fails := reg.Counter(famServePingFails, "")
-
-	fails.Add(1) // one lost ping: fine
-	e.EvalBoundary(1 * time.Hour)
-	if len(h.active) != 0 {
-		t.Fatalf("partition_suspect fired on one lost ping: %v", h.active)
-	}
-	fails.Add(12) // the link is down
-	e.EvalBoundary(2 * time.Hour)
-	if got := h.sets["partition_suspect"]; got != 1 {
-		t.Fatalf("partition_suspect fired %d times, want 1", got)
-	}
-	e.EvalBoundary(3 * time.Hour) // healed: resolves
-	if got := h.clears["partition_suspect"]; got != 1 {
-		t.Fatalf("partition_suspect resolved %d times, want 1", got)
-	}
-}
-
 // TestStandardRuleFamilies pins the metric families the rules read to the
 // constants the instrumented packages actually export, so a rename there
 // breaks this test instead of silently muting an alert.
@@ -396,9 +352,7 @@ func TestStandardRuleFamilies(t *testing.T) {
 		famFindings:        analysis.MetricFindings,
 		famServeCacheHits:  serve.MetricCacheHits,
 		famServeCacheMiss:  serve.MetricCacheMisses,
-		famViewChanges:     serve.MetricViewChanges,
 		famServeShed:       serve.MetricShed,
-		famServePingFails:  serve.MetricPingFailures,
 	}
 	for local, canonical := range pairs {
 		if local != canonical {

@@ -22,9 +22,7 @@ const (
 	famFindings        = "s2s_analysis_findings_total"
 	famServeCacheHits  = "s2s_serve_cache_hits_total"
 	famServeCacheMiss  = "s2s_serve_cache_misses_total"
-	famViewChanges     = "s2s_serve_view_changes_total"
 	famServeShed       = "s2s_serve_shed_total"
-	famServePingFails  = "s2s_serve_ping_failures_total"
 )
 
 // Config holds the thresholds of the standard rules.
@@ -55,10 +53,6 @@ type Config struct {
 	// operators emit more findings per executed task than this in one
 	// interval — the observed network is churning far above baseline.
 	FindingFraction float64
-	// ViewFlapChanges: view_flap fires when the replication view service
-	// moved through this many view changes in one interval — replicas are
-	// flapping between alive and dead instead of settling.
-	ViewFlapChanges int64
 	// ServeCacheHitFloor and ServeCacheMinLookups: serve_cache_collapse
 	// fires when the query service's hot-pair cache hit rate drops below
 	// the floor with at least that many lookups in the interval.
@@ -67,10 +61,6 @@ type Config struct {
 	// ShedMin: load_shed fires when admission control shed at least this
 	// many queries in one interval.
 	ShedMin int64
-	// PingFailMin: partition_suspect fires when at least this many
-	// view-service pings failed in one interval — the replica↔viewservice
-	// link is partitioned or the view service is down.
-	PingFailMin int64
 }
 
 // DefaultConfig returns the standard thresholds.
@@ -85,11 +75,9 @@ func DefaultConfig() Config {
 		HeapWindow:               6,
 		HeapMinGrowth:            512 << 20,
 		FindingFraction:          0.10,
-		ViewFlapChanges:          3,
 		ServeCacheHitFloor:       0.20,
 		ServeCacheMinLookups:     200,
 		ShedMin:                  10,
-		PingFailMin:              3,
 	}
 }
 
@@ -124,9 +112,6 @@ func (c Config) fill() Config {
 	if c.FindingFraction == 0 {
 		c.FindingFraction = d.FindingFraction
 	}
-	if c.ViewFlapChanges == 0 {
-		c.ViewFlapChanges = d.ViewFlapChanges
-	}
 	if c.ServeCacheHitFloor == 0 {
 		c.ServeCacheHitFloor = d.ServeCacheHitFloor
 	}
@@ -135,9 +120,6 @@ func (c Config) fill() Config {
 	}
 	if c.ShedMin == 0 {
 		c.ShedMin = d.ShedMin
-	}
-	if c.PingFailMin == 0 {
-		c.PingFailMin = d.PingFailMin
 	}
 	return c
 }
@@ -156,10 +138,8 @@ func StandardRules(cfg Config) []Rule {
 		cacheCollapse(cfg),
 		heapGrowth(cfg),
 		findingSurge(cfg),
-		viewFlap(cfg),
 		serveCacheCollapse(cfg),
 		loadShed(cfg),
-		partitionSuspect(cfg),
 	}
 }
 
@@ -305,22 +285,6 @@ func findingSurge(cfg Config) Rule {
 	}
 }
 
-// viewFlap: the replication view service is cycling through views — a
-// replica (or the network between it and the view service) is flapping,
-// so every few intervals availability pays another failover. Inert
-// outside the query service: the view-change family never moves. Wall
-// clock, like everything in the serving path.
-func viewFlap(cfg Config) Rule {
-	return Rule{
-		Name: "view_flap", Severity: Warn, WallClock: true,
-		Check: func(s *Sample) (string, bool) {
-			changes := s.DeltaCounter(famViewChanges)
-			return fmt.Sprintf("%d replication view changes this interval (limit %d)",
-				changes, cfg.ViewFlapChanges), changes >= cfg.ViewFlapChanges
-		},
-	}
-}
-
 // serveCacheCollapse: the query service's hot-pair cache stopped hitting —
 // the working set outgrew the cache bound (or the request population
 // stopped being zipfian) and every query is paying a store read.
@@ -353,21 +317,6 @@ func loadShed(cfg Config) Rule {
 			shed := s.DeltaCounter(famServeShed)
 			return fmt.Sprintf("admission control shed %d queries this interval (limit %d)",
 				shed, cfg.ShedMin), shed >= cfg.ShedMin
-		},
-	}
-}
-
-// partitionSuspect: a replica's pings to the view service keep failing —
-// either the view service is down or the replica↔viewservice link is
-// partitioned. Either way the replica is flying blind on a stale view
-// and a failover may already be in progress around it.
-func partitionSuspect(cfg Config) Rule {
-	return Rule{
-		Name: "partition_suspect", Severity: Warn, WallClock: true,
-		Check: func(s *Sample) (string, bool) {
-			fails := s.DeltaCounter(famServePingFails)
-			return fmt.Sprintf("%d view-service pings failed this interval (limit %d)",
-				fails, cfg.PingFailMin), fails >= cfg.PingFailMin
 		},
 	}
 }

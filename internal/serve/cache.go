@@ -7,8 +7,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Entry is one cached (and journaled) query response.
-type Entry struct {
+// entry is one cached query response.
+type entry struct {
 	Key    string
 	Body   []byte
 	Digest string
@@ -19,10 +19,6 @@ type Entry struct {
 // operators watch the same few pairs — so a small cache absorbs most of
 // the load; the metrics let the alert engine notice when it stops doing so
 // (serve_cache_collapse).
-//
-// The cache is also half of the replicated state: the primary forwards
-// every response it caches to the backup, so a promoted backup serves the
-// same bytes for warmed pairs without touching its store.
 type Cache struct {
 	mu    sync.Mutex
 	max   int
@@ -64,7 +60,7 @@ func (c *Cache) Get(key string) (body []byte, digest string, ok bool) {
 	}
 	c.hitsC.Inc()
 	c.ll.MoveToFront(el)
-	e := el.Value.(*Entry)
+	e := el.Value.(*entry)
 	return e.Body, e.Digest, true
 }
 
@@ -78,15 +74,15 @@ func (c *Cache) Put(key string, body []byte, digest string) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		e := el.Value.(*Entry)
+		e := el.Value.(*entry)
 		e.Body, e.Digest = body, digest
 		return
 	}
-	c.items[key] = c.ll.PushFront(&Entry{Key: key, Body: body, Digest: digest})
+	c.items[key] = c.ll.PushFront(&entry{Key: key, Body: body, Digest: digest})
 	for c.ll.Len() > c.max {
 		cold := c.ll.Back()
 		c.ll.Remove(cold)
-		delete(c.items, cold.Value.(*Entry).Key)
+		delete(c.items, cold.Value.(*entry).Key)
 		c.evictC.Inc()
 	}
 	c.entriesG.Set(float64(c.ll.Len()))
@@ -105,37 +101,7 @@ func (c *Cache) Keys() []string {
 	defer c.mu.Unlock()
 	keys := make([]string, 0, c.ll.Len())
 	for el := c.ll.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(*Entry).Key)
+		keys = append(keys, el.Value.(*entry).Key)
 	}
 	return keys
-}
-
-// Snapshot copies the resident entries from most to least recently used —
-// the cache half of a state transfer.
-func (c *Cache) Snapshot() []Entry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Entry, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*Entry)
-		out = append(out, Entry{Key: e.Key, Body: e.Body, Digest: e.Digest})
-	}
-	return out
-}
-
-// Install replaces the cache contents with a transferred snapshot
-// (entries arrive most-recent-first, so inserting in reverse rebuilds the
-// recency order).
-func (c *Cache) Install(entries []Entry) {
-	if c.max <= 0 {
-		return
-	}
-	c.mu.Lock()
-	c.ll.Init()
-	c.items = make(map[string]*list.Element, len(entries))
-	c.mu.Unlock()
-	for i := len(entries) - 1; i >= 0; i-- {
-		e := entries[i]
-		c.Put(e.Key, e.Body, e.Digest)
-	}
 }

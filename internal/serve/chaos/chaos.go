@@ -1,8 +1,8 @@
 // Package chaos is the serving plane's deterministic network-fault
 // layer: a seeded schedule of message-level faults — drops, added
 // latency, duplicated deliveries, lost replies, and one-way or two-way
-// partitions — injected between the serving components (replicas, view
-// service, clients) through an http.RoundTripper.
+// partitions — injected between clients and replicas through an
+// http.RoundTripper.
 //
 // Like internal/faults on the measurement plane, a Plan is generated
 // from a seed and immutable in its random part: every verdict is a pure
@@ -20,7 +20,7 @@
 //     horizon the network is deterministically healed, which is what
 //     lets tests assert bounded recovery.
 //   - Scripted windows: Add/Partition place explicit faults (a drill
-//     cuts primary↔viewservice once it knows who is who). Scripted
+//     cuts one replica off from every client mid-load). Scripted
 //     windows are the non-random part of the schedule and may extend
 //     past the horizon.
 //
@@ -45,8 +45,8 @@ type Kind uint8
 
 // Fault kinds. Drop and reply-loss both surface as a transport error to
 // the sender; the difference is whether the receiver saw the request —
-// reply-loss exercises the "backup applied but primary never acked"
-// idempotency paths that pure drops cannot reach.
+// reply-loss makes a replica do the work of a query whose answer the
+// client never sees, which pure drops cannot reach.
 const (
 	// KindDrop loses the request before it reaches the destination.
 	KindDrop Kind = iota
@@ -332,7 +332,7 @@ func (p *Plan) Instrument(reg *obs.Registry) {
 
 // Emit announces the scripted windows to the flight record, stamped at
 // their plan-time start — the drill's partitions sit in the trace next
-// to the view changes and alerts they cause.
+// to the failovers and alerts they cause.
 func (p *Plan) Emit(rec *flight.Recorder) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

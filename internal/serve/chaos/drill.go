@@ -15,16 +15,18 @@ import (
 	"repro/internal/serve"
 )
 
-// DrillConfig parameterizes one chaos drill: an in-process deployment
-// with every link chaos-wrapped, a seeded client fleet driving load, and
-// a scripted partition that isolates the primary mid-run.
+// DrillConfig parameterizes one chaos drill: an in-process deployment of
+// interchangeable replicas, a seeded client fleet whose every request
+// crosses the chaos transport, and a scripted partition that cuts one
+// replica off from every client mid-run.
 type DrillConfig struct {
 	// OpenBackend builds each replica's backend. Required.
 	OpenBackend func() (*serve.Backend, error)
 	// Seed derives the fault schedule, the fleet's request schedules, and
 	// every client's retry jitter: same seed, same drill.
 	Seed int64
-	// Replicas (default 3: primary, backup, and a spare to promote into).
+	// Replicas (default 3; at least 2, so the partitioned replica's
+	// clients have somewhere to fail over to).
 	Replicas int
 	// Fleet is the concurrent client count (default 12 — enough, against
 	// MaxInFlight slots, to keep admission control shedding).
@@ -33,28 +35,20 @@ type DrillConfig struct {
 	// deliberately tight so the drill proves the shed path).
 	MaxInFlight int
 	// CacheEntries per replica (default 0: every query exercises the
-	// backend and the forward path, not the cache).
+	// backend, not the cache).
 	CacheEntries int
-	// PingInterval (default 25ms) and DeadPings (default 4) set the view
-	// protocol's tempo; the scripted partition must outlast
-	// PingInterval×DeadPings to force a failover.
-	PingInterval time.Duration
-	DeadPings    int
 	// Horizon bounds the generated noise (default 2s).
 	Horizon time.Duration
-	// PartitionAfter is when (on the fault clock) the primary is cut off
-	// from both the view service and the backup (default 600ms);
-	// PartitionFor how long the cut lasts (default 500ms).
+	// PartitionAfter is when (on the fault clock) the first replica is
+	// cut off from every client (default 600ms); PartitionFor how long
+	// the cut lasts (default 500ms).
 	PartitionAfter time.Duration
 	PartitionFor   time.Duration
-	// SettleViews bounds how many further view changes are acceptable
-	// after the network heals (default 2).
-	SettleViews uint64
 	// ClientTimeout bounds one fleet request including retries
 	// (default 10s).
 	ClientTimeout time.Duration
 	// TracePath, when set, writes the drill's flight record — scripted
-	// chaos windows, view changes, and alert transitions in one file.
+	// chaos windows and alert transitions in one file.
 	TracePath string
 	// MetricsInterval is the snapshot/alert cadence (default 250ms).
 	MetricsInterval time.Duration
@@ -72,12 +66,6 @@ func (c DrillConfig) fill() DrillConfig {
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 2
 	}
-	if c.PingInterval <= 0 {
-		c.PingInterval = 25 * time.Millisecond
-	}
-	if c.DeadPings <= 0 {
-		c.DeadPings = 4
-	}
 	if c.Horizon <= 0 {
 		c.Horizon = 2 * time.Second
 	}
@@ -86,9 +74,6 @@ func (c DrillConfig) fill() DrillConfig {
 	}
 	if c.PartitionFor <= 0 {
 		c.PartitionFor = 500 * time.Millisecond
-	}
-	if c.SettleViews == 0 {
-		c.SettleViews = 2
 	}
 	if c.ClientTimeout <= 0 {
 		c.ClientTimeout = 10 * time.Second
@@ -100,24 +85,34 @@ func (c DrillConfig) fill() DrillConfig {
 }
 
 // DrillReport is the drill's verdict, written as JSON by `s2sserve
-// chaos`. SafetyOK is the headline: no acknowledged digest was ever
-// contradicted — not across the partition, not by the post-heal
-// re-query — and the service healed within the view-change budget.
+// chaos`. SafetyOK is the headline: no two answers for one query ever
+// disagreed — not during the chaos, and not when every replica was asked
+// for every acknowledged key after the heal.
 type DrillReport struct {
 	Schema    string  `json:"schema"`
 	Seed      int64   `json:"seed"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 
+	Partitioned string `json:"partitioned"`
+
 	Requests   int `json:"requests"`
 	Acked      int `json:"acked"`
 	AckErrors  int `json:"ack_errors"`
 	UniqueKeys int `json:"unique_keys"`
+	// Failovers and CutLeaks count acknowledged answers whose request
+	// began and ended while the cut was in force. Failovers are those of
+	// clients whose first choice is the partitioned replica, served by
+	// another one; CutLeaks are those the partitioned replica served,
+	// which must be none. Shed replies and generated noise also move
+	// answers off a first choice, so only both together show that the
+	// scripted partition isolated the replica and its clients failed over.
+	Failovers int `json:"failovers"`
+	CutLeaks  int `json:"cut_leaks"`
 
 	Contradictions int `json:"contradictions"`
 	RequeryErrors  int `json:"requery_errors"`
 
 	Shed         int64 `json:"shed"`
-	PingFailures int64 `json:"ping_failures"`
 	Retries      int64 `json:"retries"`
 	BreakerTrips int64 `json:"breaker_trips"`
 
@@ -126,45 +121,42 @@ type DrillReport struct {
 	Dups        int64 `json:"chaos_dup_deliveries"`
 	RepliesLost int64 `json:"chaos_replies_lost"`
 
-	ViewAtPartition uint64 `json:"view_at_partition"`
-	ViewAtHeal      uint64 `json:"view_at_heal"`
-	FinalView       uint64 `json:"final_view"`
-	PostHealViews   uint64 `json:"post_heal_view_changes"`
-
-	Healed   bool `json:"healed"`
 	SafetyOK bool `json:"safety_ok"`
 }
 
-// ackRecord is one acknowledged response the drill will hold the
-// service to: the digest may never change for this query again.
+// ackRecord is one acknowledged answer the drill will hold every replica
+// to: the digest and archive may never differ for this query.
 type ackRecord struct {
 	endpoint string
 	values   url.Values
 	digest   string
+	archive  string
 }
 
 // RunDrill runs one seeded chaos drill end to end:
 //
-//  1. Start a deployment whose every outbound link — replica pings and
-//     forwards, fleet requests — passes through a chaos Transport over
-//     one shared Plan (Standard noise inside the horizon).
-//  2. Script a partition isolating the primary from both the view
-//     service and the backup, forcing a real failover under load.
+//  1. Start a deployment of interchangeable replicas. Every fleet
+//     request passes through a chaos Transport over one shared Plan
+//     (Standard noise inside the horizon); replicas make no outbound
+//     calls, so the client edge is the whole network.
+//  2. Script a partition cutting the first replica off from every
+//     client, forcing the clients that prefer it to fail over under load.
 //  3. Drive a seeded client fleet through the whole window, recording
 //     every acknowledged digest and flagging contradictions live.
-//  4. After the network heals, wait for an acknowledged primary and
-//     re-query every acknowledged key through a clean client: the
-//     digests must all still match.
+//  4. After the network heals, ask every replica directly for every
+//     acknowledged key through a clean client: each must reproduce the
+//     acknowledged digest under the same archive identity.
 //
-// The same seed replays the same drill; the report says whether the
-// replication protocol kept its promise under that schedule.
+// The same seed replays the same drill; the report says whether
+// determinism kept interchangeable replicas in agreement under that
+// schedule.
 func RunDrill(cfg DrillConfig) (*DrillReport, error) {
 	cfg = cfg.fill()
 	if cfg.OpenBackend == nil {
 		return nil, fmt.Errorf("chaos: drill needs an OpenBackend")
 	}
-	if min := time.Duration(cfg.DeadPings) * cfg.PingInterval; cfg.PartitionFor <= min {
-		return nil, fmt.Errorf("chaos: partition %v cannot outlast the liveness threshold %v", cfg.PartitionFor, min)
+	if cfg.Replicas < 2 {
+		return nil, fmt.Errorf("chaos: a drill needs at least 2 replicas to fail over, got %d", cfg.Replicas)
 	}
 	log := cfg.Logger
 	start := time.Now()
@@ -189,21 +181,12 @@ func RunDrill(cfg DrillConfig) (*DrillReport, error) {
 	plan := New(Standard(cfg.Seed, cfg.Horizon))
 	plan.Instrument(reg)
 
-	// The fault clock starts at the deployment's first ping, so the
-	// bootstrap rides the same noise the steady state does.
 	d, err := serve.StartDeployment(serve.DeployConfig{
 		Replicas:     cfg.Replicas,
 		OpenBackend:  cfg.OpenBackend,
 		CacheEntries: cfg.CacheEntries,
-		PingInterval: cfg.PingInterval,
-		DeadPings:    cfg.DeadPings,
-		Transport: func(self string) http.RoundTripper {
-			return NewTransport(self, plan, nil)
-		},
-		MaxInFlight: cfg.MaxInFlight,
-		Registry:    reg,
-		Recorder:    rec,
-		Logger:      log,
+		MaxInFlight:  cfg.MaxInFlight,
+		Registry:     reg,
 	})
 	if err != nil {
 		rec.Close()
@@ -225,7 +208,7 @@ func RunDrill(cfg DrillConfig) (*DrillReport, error) {
 	}
 
 	// Heartbeat: advances metric snapshots so the alert engine evaluates
-	// load_shed and partition_suspect while the drill runs.
+	// load_shed while the drill runs.
 	hbStop := make(chan struct{})
 	var hbDone sync.WaitGroup
 	hbDone.Add(1)
@@ -243,25 +226,18 @@ func RunDrill(cfg DrillConfig) (*DrillReport, error) {
 		}
 	}()
 
-	// Script the outage relative to the running fault clock: cut the
-	// primary off from the view service (so it is declared dead) and from
-	// the backup (so it cannot acknowledge through the cut). Wait for a
-	// backup first — a partition of a solo primary tests far less.
-	rep := &DrillReport{Schema: "s2s-chaos-drill/1", Seed: cfg.Seed}
-	v0, _ := d.VS.View()
-	for deadline := time.Now().Add(5 * time.Second); v0.Backup == "" && time.Now().Before(deadline); {
-		time.Sleep(cfg.PingInterval)
-		v0, _ = d.VS.View()
-	}
-	rep.ViewAtPartition = v0.Num
+	// Script the outage on the fault clock: cut the first replica off from
+	// every client, in both directions.
+	rep := &DrillReport{Schema: "s2s-chaos-drill/2", Seed: cfg.Seed, Partitioned: d.Names[0]}
+	plan.StartClock()
 	cutAt := plan.Elapsed() + cfg.PartitionAfter
-	plan.Partition(v0.Primary, d.VSURL, cutAt, cfg.PartitionFor)
-	if v0.Backup != "" {
-		plan.Partition(v0.Primary, v0.Backup, cutAt, cfg.PartitionFor)
+	clientName := func(c int) string { return fmt.Sprintf("chaos-client-%d", c) }
+	for c := 0; c < cfg.Fleet; c++ {
+		plan.Partition(clientName(c), rep.Partitioned, cutAt, cfg.PartitionFor)
 	}
 	plan.Emit(rec)
-	log.Printf("drill seed %d: partitioning %s at %v for %v (view %d)",
-		cfg.Seed, v0.Primary, cutAt.Round(time.Millisecond), cfg.PartitionFor, v0.Num)
+	log.Printf("drill seed %d: partitioning %s from every client at %v for %v",
+		cfg.Seed, rep.Partitioned, cutAt.Round(time.Millisecond), cfg.PartitionFor)
 
 	// Drive the fleet until both the noise horizon and the scripted
 	// partition are over. Every acknowledged digest goes into the ledger;
@@ -272,22 +248,19 @@ func RunDrill(cfg DrillConfig) (*DrillReport, error) {
 		endAt = scriptEnd
 	}
 	var (
-		ledgerMu                                sync.Mutex
-		ledger                                  = make(map[string]*ackRecord)
-		requests, acks, ackErrs, contradictions int
-		retries, trips                          int64
+		ledgerMu sync.Mutex
+		ledger   = make(map[string]*ackRecord)
 	)
 	var fleet sync.WaitGroup
 	for c := 0; c < cfg.Fleet; c++ {
 		fleet.Add(1)
 		go func(c int) {
 			defer fleet.Done()
-			self := fmt.Sprintf("chaos-client-%d", c)
 			cl := &serve.Client{
-				VS:      d.VSURL,
-				HC:      &http.Client{Transport: NewTransport(self, plan, nil)},
-				Timeout: cfg.ClientTimeout,
-				Seed:    cfg.Seed ^ int64(uint64(c+1)*0x9e3779b97f4a7c15),
+				Replicas: serve.Rotate(d.Names, c),
+				HC:       &http.Client{Transport: NewTransport(clientName(c), plan, nil)},
+				Timeout:  cfg.ClientTimeout,
+				Seed:     cfg.Seed ^ int64(uint64(c+1)*0x9e3779b97f4a7c15),
 			}
 			// A generous schedule; the loop stops on the fault clock, not
 			// on exhausting it.
@@ -296,30 +269,37 @@ func RunDrill(cfg DrillConfig) (*DrillReport, error) {
 					break
 				}
 				vals := q.Values()
+				asked := plan.Elapsed()
 				resp, err := cl.Get("/api/"+q.Endpoint, vals)
+				cut := asked >= cutAt && plan.Elapsed() < cutAt+cfg.PartitionFor
 				ledgerMu.Lock()
-				requests++
+				rep.Requests++
 				if err != nil {
-					ackErrs++
+					rep.AckErrors++
 					ledgerMu.Unlock()
 					continue
 				}
-				acks++
+				rep.Acked++
+				switch {
+				case cut && resp.ServedBy == rep.Partitioned:
+					rep.CutLeaks++
+				case cut && cl.Replicas[0] == rep.Partitioned:
+					rep.Failovers++
+				}
 				key := q.Endpoint + "?" + vals.Encode()
-				if prev, ok := ledger[key]; ok {
-					if prev.digest != resp.Digest {
-						contradictions++
-						log.Printf("CONTRADICTION %s: acked %s then %s", key, prev.digest, resp.Digest)
-					}
-				} else {
-					ledger[key] = &ackRecord{endpoint: q.Endpoint, values: vals, digest: resp.Digest}
+				if prev, ok := ledger[key]; !ok {
+					ledger[key] = &ackRecord{endpoint: q.Endpoint, values: vals, digest: resp.Digest, archive: resp.Archive}
+				} else if prev.digest != resp.Digest || prev.archive != resp.Archive {
+					rep.Contradictions++
+					log.Printf("CONTRADICTION %s: acked %s@%s then %s@%s",
+						key, prev.digest, prev.archive, resp.Digest, resp.Archive)
 				}
 				ledgerMu.Unlock()
 			}
 			r, t := cl.Stats()
 			ledgerMu.Lock()
-			retries += r
-			trips += t
+			rep.Retries += r
+			rep.BreakerTrips += t
 			ledgerMu.Unlock()
 		}(c)
 	}
@@ -328,51 +308,35 @@ func RunDrill(cfg DrillConfig) (*DrillReport, error) {
 		time.Sleep(remaining) // the network must be healed before the verdict
 	}
 
-	// Post-heal: the service must converge on an acknowledged primary,
-	// and every digest the drill was promised must still hold through a
-	// clean (chaos-free) client.
-	vh, err := d.WaitForPrimary(10 * time.Second)
-	rep.Healed = err == nil
-	rep.ViewAtHeal = vh.Num
-	clean := &serve.Client{VS: d.VSURL, Timeout: cfg.ClientTimeout, Seed: cfg.Seed}
-	requeryErrs := 0
-	for _, key := range sortedKeys(ledger) {
-		rc := ledger[key]
-		resp, err := clean.Get("/api/"+rc.endpoint, rc.values)
-		if err != nil {
-			requeryErrs++
-			log.Printf("requery %s: %v", key, err)
-			continue
-		}
-		if resp.Digest != rc.digest {
-			contradictions++
-			log.Printf("CONTRADICTION %s: acked %s, post-heal %s", key, rc.digest, resp.Digest)
+	// Post-heal: every replica, the partitioned one included, must
+	// reproduce every acknowledged answer through a clean (chaos-free)
+	// client.
+	for _, name := range d.Names {
+		clean := &serve.Client{Replicas: []string{name}, Timeout: cfg.ClientTimeout, Seed: cfg.Seed}
+		for _, key := range sortedKeys(ledger) {
+			rc := ledger[key]
+			resp, err := clean.Get("/api/"+rc.endpoint, rc.values)
+			if err != nil {
+				rep.RequeryErrors++
+				log.Printf("requery %s on %s: %v", key, name, err)
+				continue
+			}
+			if resp.Digest != rc.digest || resp.Archive != rc.archive {
+				rep.Contradictions++
+				log.Printf("CONTRADICTION %s: acked %s@%s, %s answers %s@%s",
+					key, rc.digest, rc.archive, name, resp.Digest, resp.Archive)
+			}
 		}
 	}
-	vf, _ := d.VS.View()
 
 	close(hbStop)
 	hbDone.Wait()
 
 	rep.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	rep.Requests = requests
-	rep.Acked = acks
-	rep.AckErrors = ackErrs
 	rep.UniqueKeys = len(ledger)
-	rep.Contradictions = contradictions
-	rep.RequeryErrors = requeryErrs
-	rep.Retries = retries
-	rep.BreakerTrips = trips
-	snap := reg.Snapshot()
-	rep.Shed = snap.Counters[serve.MetricShed]
-	rep.PingFailures = snap.Counters[serve.MetricPingFailures]
+	rep.Shed = reg.Snapshot().Counters[serve.MetricShed]
 	rep.Drops, rep.Delays, rep.Dups, rep.RepliesLost = plan.Totals()
-	rep.FinalView = vf.Num
-	if vf.Num > vh.Num {
-		rep.PostHealViews = vf.Num - vh.Num
-	}
-	rep.SafetyOK = rep.Healed && rep.Contradictions == 0 && rep.RequeryErrors == 0 &&
-		rep.PostHealViews <= cfg.SettleViews
+	rep.SafetyOK = rep.Contradictions == 0 && rep.RequeryErrors == 0
 
 	if cfg.TracePath != "" {
 		rec.WriteManifest(flight.Manifest{Tool: "s2sserve-chaos"})

@@ -57,16 +57,15 @@ func buildDrillStore(t testing.TB, servers, rounds int) string {
 }
 
 // TestDrillPartitionSafety is the chaos suite's capstone: a seeded drill
-// that partitions the primary from both the view service and the backup
-// mid-load, heals, and then proves that
+// that cuts one replica off from every client mid-load, heals, and then
+// proves that
 //
-//   - no acknowledged digest was ever contradicted, during the chaos or
-//     by the post-heal re-query of every acknowledged key;
-//   - the service resumed (an acknowledged primary) within a bounded
-//     number of view changes after the heal;
-//   - the degradation machinery actually engaged: the partition forced a
-//     failover, admission control shed load, and pings failed while the
-//     primary was cut off.
+//   - no two answers for one query ever disagreed, during the chaos or
+//     when every replica was asked for every acknowledged key after the
+//     heal;
+//   - the degradation machinery actually engaged: the partitioned
+//     replica served nobody during the cut while its clients failed over,
+//     admission control shed load, and the chaos layer injected faults.
 //
 // Run under -race in CI: the drill is also the serving plane's best
 // concurrency workout.
@@ -80,12 +79,9 @@ func TestDrillPartitionSafety(t *testing.T) {
 		Replicas:        3,
 		Fleet:           10,
 		MaxInFlight:     1,
-		PingInterval:    20 * time.Millisecond,
-		DeadPings:       3,
 		Horizon:         1200 * time.Millisecond,
 		PartitionAfter:  300 * time.Millisecond,
 		PartitionFor:    400 * time.Millisecond,
-		SettleViews:     2,
 		ClientTimeout:   8 * time.Second,
 		MetricsInterval: 200 * time.Millisecond,
 		TracePath:       filepath.Join(t.TempDir(), "drill.flight"),
@@ -93,23 +89,16 @@ func TestDrillPartitionSafety(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("drill: %d acked / %d requests, shed=%d ping_failures=%d retries=%d trips=%d "+
-		"chaos={drops=%d delays=%d dups=%d lost=%d} views={part=%d heal=%d final=%d}",
-		rep.Acked, rep.Requests, rep.Shed, rep.PingFailures, rep.Retries, rep.BreakerTrips,
-		rep.Drops, rep.Delays, rep.Dups, rep.RepliesLost,
-		rep.ViewAtPartition, rep.ViewAtHeal, rep.FinalView)
+	t.Logf("drill: %d acked / %d requests, failovers=%d shed=%d retries=%d trips=%d "+
+		"chaos={drops=%d delays=%d dups=%d lost=%d}",
+		rep.Acked, rep.Requests, rep.Failovers, rep.Shed, rep.Retries, rep.BreakerTrips,
+		rep.Drops, rep.Delays, rep.Dups, rep.RepliesLost)
 
 	if rep.Contradictions != 0 {
 		t.Fatalf("%d acknowledged digests contradicted", rep.Contradictions)
 	}
 	if rep.RequeryErrors != 0 {
 		t.Fatalf("%d acknowledged keys unanswerable after the heal", rep.RequeryErrors)
-	}
-	if !rep.Healed {
-		t.Fatal("no acknowledged primary after the network healed")
-	}
-	if rep.PostHealViews > 2 {
-		t.Fatalf("view churned %d times after the heal, want <= 2", rep.PostHealViews)
 	}
 	if !rep.SafetyOK {
 		t.Fatal("report.SafetyOK = false")
@@ -119,30 +108,29 @@ func TestDrillPartitionSafety(t *testing.T) {
 	}
 	// The drill must actually have hurt: a partition that forces no
 	// failover, or load that never sheds, proves nothing.
-	if rep.FinalView <= rep.ViewAtPartition {
-		t.Fatalf("partition forced no view change (%d -> %d)", rep.ViewAtPartition, rep.FinalView)
+	if rep.CutLeaks != 0 {
+		t.Fatalf("partitioned %s still served %d answers during the cut", rep.Partitioned, rep.CutLeaks)
+	}
+	if rep.Failovers == 0 {
+		t.Fatalf("partitioning %s forced no failover", rep.Partitioned)
 	}
 	if rep.Shed == 0 {
 		t.Fatal("admission control never shed under a 10-client fleet with 1 slot")
-	}
-	if rep.PingFailures == 0 {
-		t.Fatal("no ping failures despite cutting primary<->viewservice")
 	}
 	if rep.Drops+rep.Delays+rep.Dups+rep.RepliesLost == 0 {
 		t.Fatal("the chaos layer injected nothing")
 	}
 }
 
-// TestDrillRejectsTooShortPartition: a partition that cannot outlast the
-// liveness threshold is a configuration error, not a vacuous pass.
-func TestDrillRejectsTooShortPartition(t *testing.T) {
+// TestDrillRejectsSingleReplica: with one replica the partition leaves
+// its clients nowhere to fail over, so the drill is a configuration
+// error, not a vacuous pass.
+func TestDrillRejectsSingleReplica(t *testing.T) {
 	_, err := RunDrill(DrillConfig{
-		OpenBackend:  func() (*serve.Backend, error) { return nil, nil },
-		PingInterval: 50 * time.Millisecond,
-		DeadPings:    10,
-		PartitionFor: 100 * time.Millisecond,
+		OpenBackend: func() (*serve.Backend, error) { return nil, nil },
+		Replicas:    1,
 	})
 	if err == nil {
-		t.Fatal("drill accepted a partition shorter than the liveness threshold")
+		t.Fatal("drill accepted a single-replica deployment")
 	}
 }

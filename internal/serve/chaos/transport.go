@@ -22,7 +22,7 @@ func (e *Error) Error() string { return fmt.Sprintf("chaos: %s %s -> %s", e.Op, 
 // Transport injects the plan's faults into every request one component
 // sends. It wraps a real RoundTripper: verdicts that deliver (delay,
 // duplicate, reply-loss) still cross the wire, so the destination's
-// side effects — a backup applying a forward whose ack was lost — are
+// side effects — a replica answering a query whose reply was lost — are
 // real, not simulated.
 type Transport struct {
 	self string

@@ -2,36 +2,38 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/url"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Client is a view-aware query client: it learns the primary from the
-// view service, caches it, and on any failure — connection refused, 409
-// not-primary, 5xx refusal to acknowledge — refreshes the view and
-// retries with backoff until Timeout. A failover is therefore invisible
-// to the caller beyond added latency: the request lands on whichever
-// primary the next view names.
+// Client is a failover query client over a static replica list. Each Get
+// starts at Replicas[0], the client's first choice, and on any failure —
+// connection refused, 5xx, an answer from the wrong archive — moves on to
+// the next replica; only after the whole list has failed does it back off
+// and start over, until Timeout. Replicas are interchangeable, so a dead
+// one costs the caller one failed attempt, not an error.
+//
+// Safety rests on one check: the client pins the X-S2S-Archive identity of
+// the first answer it accepts and never returns a body stamped with a
+// different one. A replica opened on another archive, or on the same
+// store with different answer-shaping config, is skipped like a dead one.
 //
 // Two mechanisms keep a fleet of Clients from harming a struggling
 // service. Retry backoff is jittered (seeded, so runs stay
-// reproducible): after a failover the fleet's retries spread out instead
-// of arriving in lockstep waves. And a circuit breaker trips after
-// BreakerThreshold consecutive failures against one primary, pausing
-// attempts at it for a cooldown — while still refreshing the view, so
-// the moment a new primary is published the breaker is irrelevant.
+// reproducible): after an outage the fleet's retries spread out instead
+// of arriving in lockstep waves. And a per-replica circuit breaker trips
+// after BreakerThreshold consecutive failures against one replica,
+// skipping it for a cooldown while the rest of the list keeps serving.
 type Client struct {
-	// VS is the view service's base URL.
-	VS string
+	// Replicas are the replicas' base URLs, first choice first.
+	Replicas []string
 	// HC is the underlying HTTP client (default http.DefaultClient).
 	HC *http.Client
 	// Timeout bounds one Get including all retries (default 20s).
@@ -39,35 +41,33 @@ type Client struct {
 	// Seed makes the retry jitter deterministic (same seed, same waits).
 	Seed int64
 	// BreakerThreshold is how many consecutive failures against one
-	// primary trip the circuit (default 4); BreakerCooldown how long it
+	// replica trip its circuit (default 4); BreakerCooldown how long it
 	// stays open before a half-open probe (default 500ms).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 
-	mu        sync.Mutex
-	primary   string
-	rng       *rand.Rand
-	fails     int       // consecutive failures against broken
-	broken    string    // the primary the circuit is open for
-	openUntil time.Time // zero = circuit closed
+	mu       sync.Mutex
+	archive  string // X-S2S-Archive of the first accepted answer
+	rng      *rand.Rand
+	circuits map[string]*circuit
 
 	retries atomic.Int64
 	trips   atomic.Int64
 }
 
-// Response is one acknowledged query response.
-type Response struct {
-	Body     []byte
-	Digest   string // X-S2S-Digest: the journaled response digest
-	ServedBy string // X-S2S-Served-By: which replica acknowledged
-	ViewNum  uint64 // X-S2S-View: the view it was acknowledged in
-	CacheHit bool
+// circuit is one replica's breaker state.
+type circuit struct {
+	fails     int       // consecutive failures
+	openUntil time.Time // zero = closed
 }
 
-// viewReply mirrors the view service's /view payload.
-type viewReply struct {
-	View  View `json:"view"`
-	Acked bool `json:"acked"`
+// Response is one answered query.
+type Response struct {
+	Body     []byte
+	Digest   string // X-S2S-Digest: the body's digest
+	Archive  string // X-S2S-Archive: the archive identity it was computed from
+	ServedBy string // the entry of Replicas that answered
+	CacheHit bool
 }
 
 func (c *Client) hc() *http.Client {
@@ -84,42 +84,19 @@ func (c *Client) Stats() (retries, breakerTrips int64) {
 	return c.retries.Load(), c.trips.Load()
 }
 
-// RefreshView re-reads the current view and returns its primary.
-func (c *Client) RefreshView() (string, error) {
-	return c.refreshView(context.Background())
-}
-
-func (c *Client) refreshView(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.VS+"/view", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.hc().Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	var vr viewReply
-	if err := json.NewDecoder(resp.Body).Decode(&vr); err != nil {
-		return "", fmt.Errorf("serve: view service: %w", err)
-	}
-	c.mu.Lock()
-	c.primary = vr.View.Primary
-	c.mu.Unlock()
-	return vr.View.Primary, nil
-}
-
-// Get issues one query (path like "/api/series") and retries through
-// view changes until it gets an acknowledged response or Timeout
-// elapses.
+// Get issues one query (path like "/api/series") and fails over across
+// the replica list until it gets an answer or Timeout elapses.
 func (c *Client) Get(path string, q url.Values) (*Response, error) {
 	return c.GetCtx(context.Background(), path, q)
 }
 
 // GetCtx is Get under a caller context: cancellation aborts the retry
-// loop and the in-flight request, and propagates into the primary's
+// loop and the in-flight request, and propagates into the replica's
 // backend so an abandoned query stops consuming its CPU.
 func (c *Client) GetCtx(ctx context.Context, path string, q url.Values) (*Response, error) {
+	if len(c.Replicas) == 0 {
+		return nil, fmt.Errorf("serve: client has no replicas")
+	}
 	timeout := c.Timeout
 	if timeout <= 0 {
 		timeout = 20 * time.Second
@@ -128,32 +105,22 @@ func (c *Client) GetCtx(ctx context.Context, path string, q url.Values) (*Respon
 	backoff := 5 * time.Millisecond
 	var lastErr error
 	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		c.mu.Lock()
-		primary := c.primary
-		c.mu.Unlock()
-		if primary == "" {
-			var err error
-			if primary, err = c.refreshView(ctx); err != nil || primary == "" {
-				lastErr = fmt.Errorf("serve: no primary: %v", err)
+		for _, name := range c.Replicas {
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
-		}
-		if primary != "" && c.circuitOpen(primary) {
-			// Keep re-learning the view while the circuit is open: the
-			// breaker is name-scoped, so a published failover unblocks the
-			// very next attempt.
-			if np, err := c.refreshView(ctx); err == nil && np != "" && np != primary {
+			if c.circuitOpen(name) {
+				if lastErr == nil {
+					lastErr = fmt.Errorf("serve: circuit open for %s", name)
+				}
 				continue
 			}
-			if lastErr == nil {
-				lastErr = fmt.Errorf("serve: circuit open for %s", primary)
-			}
-		} else if primary != "" {
-			resp, err := c.tryOnce(ctx, primary, path, q)
+			resp, err := c.tryOnce(ctx, name, path, q)
 			if err == nil {
-				c.noteSuccess()
+				err = c.pinArchive(name, resp.Archive)
+			}
+			if err == nil {
+				c.noteSuccess(name)
 				return resp, nil
 			}
 			var bad *BadRequestError
@@ -161,16 +128,11 @@ func (c *Client) GetCtx(ctx context.Context, path string, q url.Values) (*Respon
 				return nil, err
 			}
 			lastErr = err
-			c.noteFailure(primary)
-			// Whatever went wrong — dead primary, stale view, unsynced
-			// backup — the cure is the same: re-learn the view and retry.
-			c.mu.Lock()
-			c.primary = ""
-			c.mu.Unlock()
+			c.noteFailure(name)
 		}
 		sleep := c.jitter(backoff)
 		if time.Now().Add(sleep).After(deadline) {
-			return nil, fmt.Errorf("serve: %s not acknowledged within %v: %w", path, timeout, lastErr)
+			return nil, fmt.Errorf("serve: %s not answered within %v: %w", path, timeout, lastErr)
 		}
 		c.retries.Add(1)
 		select {
@@ -182,6 +144,23 @@ func (c *Client) GetCtx(ctx context.Context, path string, q url.Values) (*Respon
 			backoff = 250 * time.Millisecond
 		}
 	}
+}
+
+// pinArchive accepts an answer's archive identity if it is the first one
+// this client has seen or matches it.
+func (c *Client) pinArchive(name, archive string) error {
+	if archive == "" {
+		return fmt.Errorf("serve: %s sent no archive identity", name)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.archive == "" {
+		c.archive = archive
+	}
+	if archive != c.archive {
+		return fmt.Errorf("serve: %s serves archive %s, want %s", name, archive, c.archive)
+	}
+	return nil
 }
 
 // jitter spreads one backoff step uniformly over [0.5d, 1.5d): enough
@@ -197,18 +176,19 @@ func (c *Client) jitter(d time.Duration) time.Duration {
 }
 
 // circuitOpen reports whether the breaker currently blocks attempts at
-// primary. Only the primary the circuit tripped on is blocked: a view
-// change publishes a different name and sails through immediately.
-func (c *Client) circuitOpen(primary string) bool {
+// the named replica. Circuits are per replica: one tripping leaves the
+// rest of the list untouched.
+func (c *Client) circuitOpen(name string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return primary == c.broken && time.Now().Before(c.openUntil)
+	cb := c.circuits[name]
+	return cb != nil && time.Now().Before(cb.openUntil)
 }
 
 // noteFailure counts a consecutive failure; at the threshold the
 // circuit opens for the cooldown. Past it, each further failure (the
 // half-open probe) re-opens immediately.
-func (c *Client) noteFailure(primary string) {
+func (c *Client) noteFailure(name string) {
 	threshold := c.BreakerThreshold
 	if threshold <= 0 {
 		threshold = 4
@@ -219,27 +199,32 @@ func (c *Client) noteFailure(primary string) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if primary != c.broken {
-		c.broken, c.fails = primary, 0
+	if c.circuits == nil {
+		c.circuits = make(map[string]*circuit)
 	}
-	c.fails++
-	if c.fails >= threshold {
-		if !time.Now().Before(c.openUntil) {
+	cb := c.circuits[name]
+	if cb == nil {
+		cb = &circuit{}
+		c.circuits[name] = cb
+	}
+	cb.fails++
+	if cb.fails >= threshold {
+		if !time.Now().Before(cb.openUntil) {
 			c.trips.Add(1)
 		}
-		c.openUntil = time.Now().Add(cooldown)
+		cb.openUntil = time.Now().Add(cooldown)
 	}
 }
 
-func (c *Client) noteSuccess() {
+func (c *Client) noteSuccess(name string) {
 	c.mu.Lock()
-	c.fails, c.broken, c.openUntil = 0, "", time.Time{}
+	delete(c.circuits, name)
 	c.mu.Unlock()
 }
 
-// tryOnce issues the query against one candidate primary.
-func (c *Client) tryOnce(ctx context.Context, primary, path string, q url.Values) (*Response, error) {
-	u := primary + path
+// tryOnce issues the query against one replica.
+func (c *Client) tryOnce(ctx context.Context, name, path string, q url.Values) (*Response, error) {
+	u := name + path
 	if len(q) > 0 {
 		u += "?" + q.Encode()
 	}
@@ -258,12 +243,11 @@ func (c *Client) tryOnce(ctx context.Context, primary, path string, q url.Values
 	}
 	switch {
 	case hresp.StatusCode == http.StatusOK:
-		viewNum, _ := strconv.ParseUint(hresp.Header.Get("X-S2S-View"), 10, 64)
 		return &Response{
 			Body:     body,
 			Digest:   hresp.Header.Get("X-S2S-Digest"),
-			ServedBy: hresp.Header.Get("X-S2S-Served-By"),
-			ViewNum:  viewNum,
+			Archive:  hresp.Header.Get("X-S2S-Archive"),
+			ServedBy: name,
 			CacheHit: hresp.Header.Get("X-S2S-Cache") == "hit",
 		}, nil
 	case hresp.StatusCode == http.StatusBadRequest:

@@ -11,45 +11,45 @@ import (
 	"repro/internal/obs"
 )
 
-// fakeCluster is a hand-cranked view service plus one primary endpoint,
-// for exercising the client's retry/breaker logic without a deployment.
-type fakeCluster struct {
-	mu      sync.Mutex
-	primary string // URL the /view endpoint publishes
-	fail    bool   // primary answers 500 while set
-	hits    int
-
-	vs  *httptest.Server
-	api *httptest.Server
+// fakeReplica is a hand-cranked replica endpoint, for exercising the
+// client's failover and breaker logic without a backend.
+type fakeReplica struct {
+	mu   sync.Mutex
+	fail bool // answers 500 while set
+	hits int
+	srv  *httptest.Server
 }
 
-func newFakeCluster(t *testing.T) *fakeCluster {
+func newFakeReplica(t *testing.T, archive, digest string) *fakeReplica {
 	t.Helper()
-	fc := &fakeCluster{}
-	fc.api = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fc.mu.Lock()
-		fc.hits++
-		fail := fc.fail
-		fc.mu.Unlock()
+	f := &fakeReplica{}
+	f.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		f.mu.Lock()
+		f.hits++
+		fail := f.fail
+		f.mu.Unlock()
 		if fail {
 			http.Error(w, "injected", http.StatusInternalServerError)
 			return
 		}
-		w.Header().Set("X-S2S-Digest", "d00d")
+		w.Header().Set("X-S2S-Digest", digest)
+		w.Header().Set("X-S2S-Archive", archive)
 		w.Write([]byte(`{}`))
 	}))
-	fc.vs = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fc.mu.Lock()
-		p := fc.primary
-		fc.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]any{
-			"view": View{Num: 1, Primary: p}, "acked": true,
-		})
-	}))
-	fc.primary = fc.api.URL
-	t.Cleanup(fc.vs.Close)
-	t.Cleanup(fc.api.Close)
-	return fc
+	t.Cleanup(f.srv.Close)
+	return f
+}
+
+func (f *fakeReplica) set(fail bool) {
+	f.mu.Lock()
+	f.fail = fail
+	f.mu.Unlock()
+}
+
+func (f *fakeReplica) count() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.hits
 }
 
 // TestClientJitterDeterministic: the same seed yields the same backoff
@@ -88,63 +88,45 @@ func TestClientJitterDeterministic(t *testing.T) {
 }
 
 // TestClientBreakerTripsAndRecovers: consecutive failures against one
-// primary trip the breaker; a view change to a healthy primary is picked
-// up while the circuit is still open.
+// replica trip its circuit, after which the client stops asking it and
+// goes straight to the next replica — the circuit is name-scoped.
 func TestClientBreakerTripsAndRecovers(t *testing.T) {
-	fc := newFakeCluster(t)
-	fc.mu.Lock()
-	fc.fail = true
-	fc.mu.Unlock()
+	broken := newFakeReplica(t, "a1", "d00d")
+	broken.set(true)
+	healthy := newFakeReplica(t, "a1", "beef")
 
 	cl := &Client{
-		VS: fc.vs.URL, Timeout: 400 * time.Millisecond, Seed: 1,
+		Replicas: []string{broken.srv.URL, healthy.srv.URL}, Timeout: time.Second, Seed: 1,
 		BreakerThreshold: 2, BreakerCooldown: time.Minute,
 	}
-	if _, err := cl.Get("/api/meta", nil); err == nil {
-		t.Fatal("Get succeeded against a failing primary")
+	for i := 0; i < 2; i++ {
+		resp, err := cl.Get("/api/meta", nil)
+		if err != nil {
+			t.Fatalf("Get %d: %v", i, err)
+		}
+		if resp.Digest != "beef" || resp.ServedBy != healthy.srv.URL {
+			t.Fatalf("Get %d served by %s (digest %q), want the healthy replica", i, resp.ServedBy, resp.Digest)
+		}
 	}
-	if _, trips := cl.Stats(); trips < 1 {
-		t.Fatalf("breaker never tripped (trips=%d)", trips)
+	if _, trips := cl.Stats(); trips != 1 {
+		t.Fatalf("breaker trips = %d, want 1", trips)
 	}
-	fc.mu.Lock()
-	hitsWhileBroken := fc.hits
-	fc.mu.Unlock()
-
-	// Publish a healthy primary. The old circuit is still open (cooldown
-	// is a minute), but it is name-scoped: the new primary sails through.
-	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("X-S2S-Digest", "beef")
-		w.Write([]byte(`{}`))
-	}))
-	defer healthy.Close()
-	fc.mu.Lock()
-	fc.primary = healthy.URL
-	fc.mu.Unlock()
-
-	resp, err := cl.Get("/api/meta", nil)
-	if err != nil {
-		t.Fatalf("Get after failover: %v", err)
+	hitsWhileBroken := broken.count()
+	if _, err := cl.Get("/api/meta", nil); err != nil {
+		t.Fatal(err)
 	}
-	if resp.Digest != "beef" {
-		t.Fatalf("served by the wrong primary: digest %q", resp.Digest)
-	}
-	fc.mu.Lock()
-	hitsAfter := fc.hits
-	fc.mu.Unlock()
-	if hitsAfter != hitsWhileBroken {
-		t.Fatalf("open circuit still sent %d requests at the broken primary", hitsAfter-hitsWhileBroken)
+	if got := broken.count(); got != hitsWhileBroken {
+		t.Fatalf("open circuit still sent %d requests at the broken replica", got-hitsWhileBroken)
 	}
 }
 
 // TestClientContextCancel: a canceled context aborts the retry loop
-// immediately, whatever state the view service is in.
+// immediately, whatever state the replicas are in.
 func TestClientContextCancel(t *testing.T) {
-	fc := newFakeCluster(t)
-	fc.mu.Lock()
-	fc.fail = true // every attempt fails, so the loop would retry forever
-	fc.mu.Unlock()
+	f := newFakeReplica(t, "a1", "d00d")
+	f.set(true) // every attempt fails, so the loop would retry forever
 
-	cl := &Client{VS: fc.vs.URL, Timeout: time.Minute, Seed: 1}
+	cl := &Client{Replicas: []string{f.srv.URL}, Timeout: time.Minute, Seed: 1}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -163,15 +145,62 @@ func TestClientContextCancel(t *testing.T) {
 	}
 }
 
+// TestClientRejectsForeignArchive: a replica opened on a different archive
+// is never accepted. With a good replica behind it in the list it is
+// skipped; with none, Get fails rather than return its body.
+func TestClientRejectsForeignArchive(t *testing.T) {
+	dir := buildStore(t, 3, 4)
+	foreign := buildStoreSeed(t, 3, 4, 43)
+	serveReplica := func(dir string) (*httptest.Server, *obs.Registry) {
+		reg := obs.NewRegistry()
+		r := NewReplica(ReplicaOptions{Backend: openTestBackend(t, dir), Registry: reg})
+		mux := http.NewServeMux()
+		for pattern, h := range r.Handlers() {
+			mux.Handle(pattern, h)
+		}
+		srv := httptest.NewServer(mux)
+		t.Cleanup(srv.Close)
+		return srv, reg
+	}
+	a, _ := serveReplica(dir)
+	b, bReg := serveReplica(foreign)
+	c, _ := serveReplica(dir)
+	cl := &Client{Replicas: []string{a.URL, b.URL, c.URL}, Timeout: 300 * time.Millisecond, Seed: 1}
+
+	first, err := cl.Get("/api/meta", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.ServedBy != a.URL || first.Archive == "" {
+		t.Fatalf("first answer from %s archive %q, want %s with an archive", first.ServedBy, first.Archive, a.URL)
+	}
+	a.Close()
+	resp, err := cl.Get("/api/meta", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.ServedBy != c.URL || resp.Archive != first.Archive || resp.Digest != first.Digest {
+		t.Fatalf("after A died: served by %s archive %s digest %s, want %s %s %s",
+			resp.ServedBy, resp.Archive, resp.Digest, c.URL, first.Archive, first.Digest)
+	}
+	c.Close()
+	asked := func() int64 { return bReg.Snapshot().Counters[MetricRequests+`{endpoint="meta"}`] }
+	before := asked()
+	resp, err = cl.Get("/api/meta", nil)
+	if err == nil {
+		t.Fatalf("Get returned a body from %s (archive %s) with only a foreign replica alive", resp.ServedBy, resp.Archive)
+	}
+	if asked() == before {
+		t.Fatal("the foreign replica was never asked, so the check proved nothing")
+	}
+}
+
 // TestAdmissionShed: with every slot occupied the replica refuses /api/*
 // with 503 + Retry-After and counts the shed, before spending any work
 // on the request.
 func TestAdmissionShed(t *testing.T) {
 	reg := obs.NewRegistry()
-	r := NewReplica(ReplicaOptions{
-		Name: "http://primary", ViewURL: "http://unused",
-		MaxInFlight: 1, Registry: reg,
-	})
+	r := NewReplica(ReplicaOptions{MaxInFlight: 1, Registry: reg})
 	if !r.adm.tryAcquire() {
 		t.Fatal("fresh admission gate refused")
 	}
@@ -188,18 +217,6 @@ func TestAdmissionShed(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters[MetricShed]; got != 1 {
 		t.Fatalf("%s = %d, want 1", MetricShed, got)
-	}
-
-	// Internal replication endpoints must never shed: refusing a forward
-	// would turn overload into a replication stall.
-	rr = httptest.NewRecorder()
-	r.Handlers()["/internal/apply"].ServeHTTP(rr, httptest.NewRequest(
-		http.MethodPost, "/internal/apply", nil))
-	if rr.Code == http.StatusServiceUnavailable {
-		t.Fatal("internal endpoint was shed by admission control")
-	}
-	if got := reg.Snapshot().Counters[MetricShed]; got != 1 {
-		t.Fatalf("%s moved to %d on an internal request", MetricShed, got)
 	}
 }
 

@@ -5,149 +5,88 @@ import (
 	"net"
 	"net/http"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
 )
 
 // DeployConfig parameterizes an in-process deployment.
 type DeployConfig struct {
-	// Replicas is how many query servers to start (>= 1; the view service
-	// uses the first two live ones as primary and backup).
+	// Replicas is how many interchangeable query servers to start (>= 1).
 	Replicas int
 	// OpenBackend builds each replica's backend — its own store handle, so
 	// replicas do not share read state.
 	OpenBackend func() (*Backend, error)
 	// CacheEntries bounds each replica's hot-pair cache (0 = off).
 	CacheEntries int
-	// PingInterval is the view protocol cadence (default 25ms); DeadPings
-	// the liveness threshold (default DefaultDeadPings).
-	PingInterval time.Duration
-	DeadPings    int
-	// Transport, when set, builds each replica's outbound RoundTripper
-	// from its advertised name — the chaos layer's injection seam.
-	Transport func(self string) http.RoundTripper
-	// Timeouts are each replica's per-request-kind deadlines.
-	Timeouts RequestTimeouts
 	// MaxInFlight bounds each replica's concurrently executing queries
 	// (0 = unlimited).
 	MaxInFlight int
-	// Registry and Recorder, when set, are shared by the view service and
-	// every replica — one pane of glass for a drill. By default each
-	// replica gets its own registry (in Deployment.Registries), which
-	// per-replica assertions rely on.
+	// Registry, when set, is shared by every replica — one pane of glass
+	// for a drill. By default each replica gets its own registry (in
+	// Deployment.Registries), which per-replica assertions rely on.
 	Registry *obs.Registry
-	Recorder *flight.Recorder
-	// Logger observes the deployment (optional).
-	Logger *obs.Logger
 }
 
-// Deployment is a view service plus replicas running in one process on
-// loopback listeners — the harness behind the failover tests and the
-// `s2sserve bench` fleet runs. The production layout (one daemon per
-// process, ops mux) wires the same pieces; this just does it compactly.
+// Deployment is a set of replicas running in one process on loopback
+// listeners — the harness behind the failover tests, the chaos drill and
+// the benchmark. The production layout (one daemon per process, ops mux)
+// wires the same pieces; this just does it compactly.
 type Deployment struct {
-	VS    *ViewService
-	VSURL string
-
+	// Names lists the replicas' base URLs in start order: the static
+	// replica list a Client fails over across. Fixed once StartDeployment
+	// returns.
+	Names []string
 	// Registries holds each replica's metric registry, keyed by name.
 	Registries map[string]*obs.Registry
+	// VS reports the first live replica as View().Primary. It exists only
+	// because bench/serve.go reads d.VS.View(); drop it with the next
+	// benchmark change.
+	VS firstLive
 
-	cfg      DeployConfig
-	vsSrv    *http.Server
 	mu       sync.Mutex
-	replicas map[string]*replicaProc
-	stop     chan struct{}
-	done     chan struct{}
+	replicas map[string]*http.Server // running replicas by name
 }
 
-type replicaProc struct {
-	r   *Replica
-	srv *http.Server
-}
-
-// StartDeployment boots the view service and cfg.Replicas replicas and
-// waits for an acknowledged primary.
+// StartDeployment starts cfg.Replicas replicas. Each serves as soon as its
+// listener is up: there is no protocol to settle.
 func StartDeployment(cfg DeployConfig) (*Deployment, error) {
 	if cfg.Replicas < 1 {
 		return nil, fmt.Errorf("serve: deployment needs at least one replica")
 	}
-	if cfg.PingInterval <= 0 {
-		cfg.PingInterval = 25 * time.Millisecond
-	}
 	d := &Deployment{
-		VS: NewViewService(ViewOptions{
-			DeadPings: cfg.DeadPings, Logger: cfg.Logger,
-			Registry: cfg.Registry, Recorder: cfg.Recorder,
-		}),
 		Registries: make(map[string]*obs.Registry),
-		cfg:        cfg,
-		replicas:   make(map[string]*replicaProc),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
+		replicas:   make(map[string]*http.Server),
 	}
-	var err error
-	if d.VSURL, d.vsSrv, err = serveOnLoopback(d.VS.Handler()); err != nil {
-		return nil, err
-	}
-	// The ticker drives liveness; replicas ping on their own loops.
-	go func() {
-		defer close(d.done)
-		t := time.NewTicker(cfg.PingInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-d.stop:
-				return
-			case <-t.C:
-				d.VS.Tick()
-			}
-		}
-	}()
+	d.VS = firstLive{d}
 	for i := 0; i < cfg.Replicas; i++ {
-		if _, err := d.AddReplica(); err != nil {
+		if err := d.start(cfg); err != nil {
 			d.Close()
 			return nil, err
 		}
 	}
-	if _, err := d.WaitForPrimary(10 * time.Second); err != nil {
-		d.Close()
-		return nil, err
-	}
 	return d, nil
 }
 
-// AddReplica starts one more replica and returns its name.
-func (d *Deployment) AddReplica() (string, error) {
-	be, err := d.cfg.OpenBackend()
+func (d *Deployment) start(cfg DeployConfig) error {
+	be, err := cfg.OpenBackend()
 	if err != nil {
-		return "", err
+		return err
 	}
-	reg := d.cfg.Registry
+	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return "", err
+		return err
 	}
 	name := "http://" + ln.Addr().String()
-	var tr http.RoundTripper
-	if d.cfg.Transport != nil {
-		tr = d.cfg.Transport(name)
-	}
 	r := NewReplica(ReplicaOptions{
 		Name:         name,
-		ViewURL:      d.VSURL,
 		Backend:      be,
-		CacheEntries: d.cfg.CacheEntries,
-		Transport:    tr,
-		Timeouts:     d.cfg.Timeouts,
-		MaxInFlight:  d.cfg.MaxInFlight,
+		CacheEntries: cfg.CacheEntries,
+		MaxInFlight:  cfg.MaxInFlight,
 		Registry:     reg,
-		Recorder:     d.cfg.Recorder,
-		Logger:       d.cfg.Logger,
 	})
 	mux := http.NewServeMux()
 	for pattern, h := range r.Handlers() {
@@ -155,91 +94,50 @@ func (d *Deployment) AddReplica() (string, error) {
 	}
 	srv := &http.Server{Handler: mux}
 	go srv.Serve(ln)
-	r.Start(d.cfg.PingInterval)
 	d.mu.Lock()
-	d.replicas[name] = &replicaProc{r: r, srv: srv}
+	d.Names = append(d.Names, name)
+	d.replicas[name] = srv
 	d.Registries[name] = reg
 	d.mu.Unlock()
-	return name, nil
-}
-
-// Replica returns a running replica by name (nil if killed or unknown).
-func (d *Deployment) Replica(name string) *Replica {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if p, ok := d.replicas[name]; ok {
-		return p.r
-	}
 	return nil
 }
 
-// Kill stops one replica abruptly: ping loop and listener die together,
-// like a process kill. Returns false if the name is not running.
+// Kill stops one replica abruptly, like a process kill: its listener and
+// open connections close at once. Returns false if the name is not
+// running.
 func (d *Deployment) Kill(name string) bool {
 	d.mu.Lock()
-	p, ok := d.replicas[name]
+	srv, ok := d.replicas[name]
 	delete(d.replicas, name)
 	d.mu.Unlock()
-	if !ok {
-		return false
+	if ok {
+		srv.Close()
 	}
-	p.r.Close()
-	p.srv.Close()
-	return true
-}
-
-// KillPrimary kills the current primary and returns its name.
-func (d *Deployment) KillPrimary() (string, error) {
-	v, _ := d.VS.View()
-	if v.Primary == "" {
-		return "", fmt.Errorf("serve: no primary to kill")
-	}
-	if !d.Kill(v.Primary) {
-		return "", fmt.Errorf("serve: primary %s not running here", v.Primary)
-	}
-	return v.Primary, nil
-}
-
-// WaitForPrimary polls until the view has an acknowledged primary.
-func (d *Deployment) WaitForPrimary(timeout time.Duration) (View, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		v, acked := d.VS.View()
-		if v.Primary != "" && acked {
-			return v, nil
-		}
-		if time.Now().After(deadline) {
-			return v, fmt.Errorf("serve: no acknowledged primary within %v (view %d)", timeout, v.Num)
-		}
-		time.Sleep(d.cfg.PingInterval / 2)
-	}
+	return ok
 }
 
 // Close tears the deployment down.
 func (d *Deployment) Close() {
-	close(d.stop)
-	<-d.done
-	d.mu.Lock()
-	procs := make([]*replicaProc, 0, len(d.replicas))
-	for name, p := range d.replicas {
-		procs = append(procs, p)
-		delete(d.replicas, name)
+	for _, name := range d.Names {
+		d.Kill(name)
 	}
-	d.mu.Unlock()
-	for _, p := range procs {
-		p.r.Close()
-		p.srv.Close()
-	}
-	d.vsSrv.Close()
 }
 
-// serveOnLoopback starts an HTTP server on an ephemeral loopback port.
-func serveOnLoopback(h http.Handler) (url string, srv *http.Server, err error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
+// View names the replica a caller should try first.
+type View struct{ Primary string }
+
+// firstLive is the type of Deployment.VS.
+type firstLive struct{ d *Deployment }
+
+// View returns the first live replica in start order; ok is false when
+// every replica has been killed.
+func (f firstLive) View() (v View, ok bool) {
+	f.d.mu.Lock()
+	defer f.d.mu.Unlock()
+	for _, name := range f.d.Names {
+		if f.d.replicas[name] != nil {
+			return View{Primary: name}, true
+		}
 	}
-	srv = &http.Server{Handler: h}
-	go srv.Serve(ln)
-	return "http://" + ln.Addr().String(), srv, nil
+	return View{}, false
 }

@@ -5,6 +5,7 @@ import (
 	"net/url"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 )
 
 // startTestDeployment boots a 3-replica deployment over a fresh fixture
-// store (2 will hold roles, the third is the promotion spare).
+// store.
 func startTestDeployment(t *testing.T, cacheEntries int) (*Deployment, []trace.PairKey) {
 	t.Helper()
 	dir := buildStore(t, 3, 6)
@@ -22,193 +23,120 @@ func startTestDeployment(t *testing.T, cacheEntries int) (*Deployment, []trace.P
 			return OpenBackend(dir, BackendConfig{Interval: fixtureInterval})
 		},
 		CacheEntries: cacheEntries,
-		PingInterval: 10 * time.Millisecond,
-		DeadPings:    3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(d.Close)
-	be, err := OpenBackend(dir, BackendConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs, _ := be.Store().PairKeys()
+	pairs, _ := openTestBackend(t, dir).Store().PairKeys()
 	return d, pairs
 }
 
-// waitForView polls until the acknowledged view number reaches at least
-// num.
-func waitForView(t *testing.T, d *Deployment, num uint64, timeout time.Duration) View {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
-		v, acked := d.VS.View()
-		if v.Num >= num && acked {
-			return v
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("view did not reach %d within %v (at %d)", num, timeout, v.Num)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// waitForTransfer polls until the named replica has completed at least
-// one outbound state transfer — the point after which every response it
-// acknowledges is replicated to the backup first.
-func waitForTransfer(t *testing.T, d *Deployment, name string, timeout time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
-		if d.Registries[name].Snapshot().Counters[MetricTransfers] >= 1 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s never transferred state to its backup", name)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestFailover is the replication acceptance test: kill the primary while
-// a client fleet is loading the service, assert the backup is promoted
-// within one view change, that no acknowledged response is contradicted
-// after the failover, and that cache-warmed pairs are read-your-writes on
-// the new primary.
+// TestFailover is the stateless-serving acceptance test: kill a replica
+// while a client fleet is loading the service, and assert that the fleet
+// sees no errors, that every surviving replica reproduces every
+// acknowledged digest, and that every answer carries one archive identity.
 func TestFailover(t *testing.T) {
 	d, pairs := startTestDeployment(t, 256)
 
-	// Let the backup slot fill (view 2: primary + backup) before loading.
-	before := waitForView(t, d, 2, 5*time.Second)
-	if before.Backup == "" {
-		t.Fatalf("no backup in view %+v", before)
-	}
-	// The view service knows about the backup before the primary's next
-	// ping does; queries acked in that window are not forwarded. Wait for
-	// the primary to absorb the view and sync the backup so the warm set
-	// below is guaranteed replicated.
-	waitForTransfer(t, d, before.Primary, 5*time.Second)
-
 	// acked records every digest the service acknowledged, keyed by the
-	// request (endpoint + encoded query). A later response for the same
-	// request with a different digest is a contradiction.
-	type ackMap struct {
-		sync.Mutex
-		m map[string]string
-	}
-	acked := &ackMap{m: make(map[string]string)}
-	record := func(key, digest string) {
-		acked.Lock()
-		defer acked.Unlock()
-		if prev, ok := acked.m[key]; ok && prev != digest {
-			t.Errorf("digest for %s changed: %s -> %s", key, prev, digest)
+	// request (endpoint + encoded query), and every archive identity seen.
+	var mu sync.Mutex
+	acked := make(map[string]string)
+	archives := make(map[string]bool)
+	record := func(key string, resp *Response) {
+		mu.Lock()
+		defer mu.Unlock()
+		if prev, ok := acked[key]; ok && prev != resp.Digest {
+			t.Errorf("digest for %s changed: %s -> %s", key, prev, resp.Digest)
 		}
-		acked.m[key] = digest
+		acked[key] = resp.Digest
+		archives[resp.Archive] = true
 	}
 
-	// Warm a small query set through the primary so the cache (and the
-	// backup, via forwarding) holds them.
-	warm := make([]Query, 0, 8)
-	for i := 0; i < 4; i++ {
-		warm = append(warm,
-			Query{Endpoint: "series", Pair: pairs[i%len(pairs)]},
-			Query{Endpoint: "paths", Pair: pairs[i%len(pairs)]})
-	}
-	cl := &Client{VS: d.VSURL, Timeout: 10 * time.Second}
-	for _, q := range warm {
-		resp, err := cl.Get("/api/"+q.Endpoint, q.Values())
-		if err != nil {
-			t.Fatal(err)
-		}
-		record(q.Endpoint+"?"+q.Values().Encode(), resp.Digest)
-	}
-
-	// Load phase: 8 concurrent clients issue deterministic schedules
-	// while the primary is killed mid-flight. Every request must still be
-	// acknowledged (the view-aware client rides the failover).
-	const loaders, perLoader = 8, 30
+	// 9 concurrent loaders, three preferring each replica, issue
+	// deterministic schedules. Once a third of all requests are done, the
+	// first replica is killed; every request must still be answered.
+	// Requests issued after the kill by its three loaders must be served
+	// by another replica, and at least one must be, or the kill landed
+	// after the load and proved nothing.
+	const loaders, perLoader = 9, 30
+	killed := d.Names[0]
+	var (
+		completed atomic.Int64
+		dead      atomic.Bool
+		failovers atomic.Int64
+		killNow   = make(chan struct{})
+	)
 	var wg sync.WaitGroup
 	errs := make(chan error, loaders)
 	for c := 0; c < loaders; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			lcl := &Client{VS: d.VSURL, Timeout: 15 * time.Second}
+			cl := &Client{Replicas: Rotate(d.Names, c), Timeout: 15 * time.Second}
 			for _, q := range Schedule(99, c, pairs, perLoader, 1.3) {
-				resp, err := lcl.Get("/api/"+q.Endpoint, q.Values())
+				after := dead.Load()
+				resp, err := cl.Get("/api/"+q.Endpoint, q.Values())
 				if err != nil {
 					errs <- fmt.Errorf("loader %d: %w", c, err)
 					return
 				}
-				record(q.Endpoint+"?"+q.Values().Encode(), resp.Digest)
+				record(q.Endpoint+"?"+q.Values().Encode(), resp)
+				if after && cl.Replicas[0] == killed {
+					if resp.ServedBy == killed {
+						errs <- fmt.Errorf("loader %d: killed replica %s served a request", c, killed)
+						return
+					}
+					failovers.Add(1)
+				}
+				if completed.Add(1) == loaders*perLoader/3 {
+					close(killNow)
+				}
 			}
 		}(c)
 	}
-	time.Sleep(50 * time.Millisecond) // let the load land on the old primary
-	killed, err := d.KillPrimary()
-	if err != nil {
-		t.Fatal(err)
+	loadDone := make(chan struct{})
+	go func() { wg.Wait(); close(loadDone) }()
+	select {
+	case <-killNow:
+		if !d.Kill(killed) {
+			t.Errorf("replica %s was not running", killed)
+		}
+		dead.Store(true)
+	case <-loadDone: // loaders failed before a third of the load was done
 	}
-	wg.Wait()
+	<-loadDone
 	close(errs)
 	for err := range errs {
 		t.Error(err)
 	}
-
-	// Promotion: exactly one view change, and the new primary is the old
-	// backup — never a stateless idle server.
-	after := waitForView(t, d, before.Num+1, 5*time.Second)
-	if after.Num != before.Num+1 {
-		t.Fatalf("failover took %d view changes (view %d -> %d)", after.Num-before.Num, before.Num, after.Num)
+	if t.Failed() {
+		t.FailNow()
 	}
-	if killed != before.Primary {
-		t.Fatalf("killed %s, but view %d primary was %s", killed, before.Num, before.Primary)
-	}
-	if after.Primary != before.Backup {
-		t.Fatalf("promoted %s, want old backup %s", after.Primary, before.Backup)
+	if failovers.Load() == 0 {
+		t.Fatalf("no request issued after the kill by a client preferring %s", killed)
 	}
 
-	// Safety: re-issue every acknowledged request through the new primary
-	// and compare digests — record() fails the test on any contradiction.
-	acked.Lock()
-	keys := make([]string, 0, len(acked.m))
-	for k := range acked.m {
-		keys = append(keys, k)
+	// Safety: every surviving replica, asked directly, reproduces every
+	// acknowledged digest under the same archive identity.
+	if len(archives) != 1 {
+		t.Fatalf("answers carried %d archive identities, want 1: %v", len(archives), archives)
 	}
-	acked.Unlock()
-	recl := &Client{VS: d.VSURL, Timeout: 10 * time.Second}
-	for _, k := range keys {
-		ep, rawq, _ := strings.Cut(k, "?")
-		vals, _ := url.ParseQuery(rawq)
-		resp, err := recl.Get("/api/"+ep, vals)
-		if err != nil {
-			t.Fatalf("re-query %s: %v", k, err)
+	for _, name := range d.Names[1:] {
+		direct := &Client{Replicas: []string{name}, Timeout: 10 * time.Second}
+		for key := range acked {
+			ep, rawq, _ := strings.Cut(key, "?")
+			vals, _ := url.ParseQuery(rawq)
+			resp, err := direct.Get("/api/"+ep, vals)
+			if err != nil {
+				t.Fatalf("re-query %s on %s: %v", key, name, err)
+			}
+			if !archives[resp.Archive] {
+				t.Fatalf("%s answered %s from archive %s", name, key, resp.Archive)
+			}
+			record(key, resp)
 		}
-		if resp.ServedBy != after.Primary {
-			t.Fatalf("re-query %s served by %s, want new primary %s", k, resp.ServedBy, after.Primary)
-		}
-		record(k, resp.Digest)
-	}
-
-	// Read-your-writes on cache-warmed pairs: the warm set was forwarded
-	// to the backup before each acknowledgement, so the promoted primary
-	// must serve it from its transferred cache, not recompute.
-	for _, q := range warm {
-		resp, err := recl.Get("/api/"+q.Endpoint, q.Values())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !resp.CacheHit {
-			t.Errorf("warmed query %s?%s missed the promoted primary's cache", q.Endpoint, q.Values().Encode())
-		}
-	}
-
-	// The journal the new primary holds must agree with everything the
-	// old primary acknowledged for the warm set.
-	journal := d.Replica(after.Primary).Journal()
-	if len(journal) == 0 {
-		t.Fatal("promoted primary has an empty journal")
 	}
 }
 
@@ -217,7 +145,7 @@ func TestFailover(t *testing.T) {
 func TestFleetEndToEnd(t *testing.T) {
 	d, pairs := startTestDeployment(t, 512)
 	res, err := RunFleet(LoadConfig{
-		VS: d.VSURL, Fleet: 16, Requests: 320, Seed: 5, Pairs: pairs,
+		Replicas: d.Names, Fleet: 16, Requests: 320, Seed: 5, Pairs: pairs,
 		Timeout: 15 * time.Second,
 	})
 	if err != nil {
@@ -239,17 +167,23 @@ func TestFleetEndToEnd(t *testing.T) {
 		t.Fatalf("rps = %v", res.RPS)
 	}
 
-	// Per-endpoint request counters on the primary must account for the
-	// fleet's requests (cache hits included).
-	v, _ := d.VS.View()
-	snap := d.Registries[v.Primary].Snapshot()
+	// The per-endpoint request counters must account for the fleet's
+	// requests (cache hits included), and the fleet must have spread
+	// across every replica.
 	var served int64
-	for name, c := range snap.Counters {
-		if len(name) >= len(MetricRequests) && name[:len(MetricRequests)] == MetricRequests {
-			served += c
+	for _, name := range d.Names {
+		var mine int64
+		for metric, c := range d.Registries[name].Snapshot().Counters {
+			if strings.HasPrefix(metric, MetricRequests) {
+				mine += c
+			}
 		}
+		if mine == 0 {
+			t.Errorf("replica %s served nothing", name)
+		}
+		served += mine
 	}
 	if served < 320 {
-		t.Fatalf("primary served %d requests, want >= 320", served)
+		t.Fatalf("replicas served %d requests, want >= 320", served)
 	}
 }

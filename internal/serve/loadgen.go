@@ -81,8 +81,10 @@ func Schedule(seed int64, c int, pairs []trace.PairKey, n int, zipfS float64) []
 
 // LoadConfig parameterizes a synthetic fleet run.
 type LoadConfig struct {
-	// VS is the view service base URL the fleet resolves primaries from.
-	VS string
+	// Replicas are the replicas' base URLs. Client c starts at
+	// Replicas[c mod len] and fails over through the rest in list order,
+	// so the fleet spreads across the replicas.
+	Replicas []string
 	// Fleet is the number of concurrent clients; Requests the total request
 	// count across the fleet.
 	Fleet    int
@@ -117,14 +119,17 @@ type LoadResult struct {
 
 // RunFleet launches Fleet concurrent clients against the service and
 // reports throughput and latency percentiles. Each client walks its own
-// deterministic schedule; requests ride the view-aware Client, so a
-// failover mid-run shows up as a latency bump, not an error burst.
+// deterministic schedule; requests ride the failover Client, so a replica
+// dying mid-run shows up as a latency bump, not an error burst.
 func RunFleet(cfg LoadConfig) (*LoadResult, error) {
 	if cfg.Fleet <= 0 || cfg.Requests <= 0 {
 		return nil, fmt.Errorf("serve: loadgen needs fleet > 0 and requests > 0")
 	}
 	if len(cfg.Pairs) == 0 {
 		return nil, fmt.Errorf("serve: loadgen needs a pair universe")
+	}
+	if len(cfg.Replicas) == 0 {
+		return nil, fmt.Errorf("serve: loadgen needs at least one replica")
 	}
 	hc := cfg.HTTPClient
 	if hc == nil {
@@ -163,10 +168,10 @@ func RunFleet(cfg LoadConfig) (*LoadResult, error) {
 		wg.Add(1)
 		go func(c, n int) {
 			defer wg.Done()
-			// Each client jitters its retries from its own seed: a failover
+			// Each client jitters its retries from its own seed: an outage
 			// spreads the fleet's retry wave deterministically instead of
 			// replaying it in lockstep.
-			cl := &Client{VS: cfg.VS, HC: hc, Timeout: timeout,
+			cl := &Client{Replicas: Rotate(cfg.Replicas, c), HC: hc, Timeout: timeout,
 				Seed: cfg.Seed ^ int64(uint64(c+1)*0x9e3779b97f4a7c15)}
 			res := &results[c]
 			res.lat = make([]int64, 0, n)
@@ -207,6 +212,13 @@ func RunFleet(cfg LoadConfig) (*LoadResult, error) {
 		out.MaxUs = all[len(all)-1]
 	}
 	return out, nil
+}
+
+// Rotate returns the replica list starting at names[c mod len]: client c's
+// preference order, so a fleet spreads its first choices evenly.
+func Rotate(names []string, c int) []string {
+	k := c % len(names)
+	return append(append([]string(nil), names[k:]...), names[:k]...)
 }
 
 // percentile reads the q-th quantile from sorted microsecond samples.

@@ -1,163 +1,61 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"net/url"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
 )
-
-// RequestTimeouts are the replica's per-request-kind deadlines. One
-// timeout cannot serve all three RPC kinds: a ping that takes seconds is
-// already a liveness failure, while a journal+cache state transfer may
-// legitimately run long on a warm deployment — a shared deadline either
-// lets pings hang or truncates transfers.
-type RequestTimeouts struct {
-	// Ping bounds a view-service ping (default 1s — several ping
-	// intervals, but far below the transfer ceiling).
-	Ping time.Duration
-	// Forward bounds one response forward to the backup (default 3s).
-	Forward time.Duration
-	// Transfer bounds a full state transfer (default 30s).
-	Transfer time.Duration
-}
-
-func (t RequestTimeouts) fill() RequestTimeouts {
-	if t.Ping <= 0 {
-		t.Ping = time.Second
-	}
-	if t.Forward <= 0 {
-		t.Forward = 3 * time.Second
-	}
-	if t.Transfer <= 0 {
-		t.Transfer = 30 * time.Second
-	}
-	return t
-}
 
 // ReplicaOptions parameterizes a Replica.
 type ReplicaOptions struct {
-	// Name is the replica's advertised base URL ("http://127.0.0.1:7401") —
-	// its identity at the view service and the address peers forward to.
+	// Name is the replica's advertised base URL ("http://127.0.0.1:7401"),
+	// stamped on replies as X-S2S-Served-By.
 	Name string
-	// ViewURL is the view service's base URL.
-	ViewURL string
 	// Backend answers queries over this replica's own store handle.
 	Backend *Backend
 	// CacheEntries bounds the hot-pair cache (0 disables caching).
 	CacheEntries int
-	// Transport carries the replica's outbound RPC — pings, forwards,
-	// transfers (default http.DefaultTransport). The chaos layer's fault
-	// injection plugs in here.
-	Transport http.RoundTripper
-	// Timeouts are the per-request-kind deadlines (zero fields take
-	// defaults).
-	Timeouts RequestTimeouts
 	// MaxInFlight bounds concurrently executing /api/* queries; excess
 	// requests are shed with 503 + Retry-After rather than queued into
-	// memory exhaustion (0 = unlimited). Internal replication endpoints
-	// are never shed: refusing a forward or transfer would turn an
-	// overload into a replication stall.
+	// memory exhaustion (0 = unlimited).
 	MaxInFlight int
-	// Registry, Recorder, Logger observe the replica (all optional).
+	// Registry observes the replica (optional).
 	Registry *obs.Registry
-	Recorder *flight.Recorder
-	Logger   *obs.Logger
 }
 
-// Replica is one query server under the view service's command. Both
-// replicas run the same code; the view decides the role:
-//
-//   - The primary executes queries. Before acknowledging a response it
-//     journals the response digest under the query's canonical key and —
-//     when a backup exists — forwards {key, digest, body} to it. A forward
-//     failure is a refusal to acknowledge (502): the client retries and
-//     either the backup recovers or the view drops it.
-//   - The backup executes nothing. It absorbs forwarded responses into its
-//     own journal and cache, rejecting any digest that contradicts what it
-//     already journaled (409) — determinism insurance, not an expected
-//     path. On promotion it serves warmed pairs from the transferred cache
-//     bytes, so no response acknowledged before the failover can be
-//     contradicted after it.
-//   - A fresh backup first receives a full state transfer (journal + cache
-//     snapshot); the primary will not acknowledge past it until the
-//     transfer lands.
-//
-// Non-primaries answer queries with 409 and the current view, steering
-// clients to the right server.
+// Replica is one query server. Replicas share no state and make no
+// outbound calls: every answer is a deterministic function of the sealed
+// archive, so any replica opened on the same archive computes the same
+// bytes, and a client may ask whichever one is reachable. The archive
+// identity on every answer (X-S2S-Archive) is what lets the client check
+// that two replicas really are interchangeable.
 type Replica struct {
 	name  string
-	vsURL string
 	be    *Backend
 	cache *Cache
 	adm   *admission
-	log   *obs.Logger
-	rec   *flight.Recorder
-	start time.Time
 
-	// Per-request-kind HTTP clients over one shared transport: tight
-	// deadlines for pings, looser for forwards, loosest for transfers.
-	pingHC *http.Client
-	fwdHC  *http.Client
-	xferHC *http.Client
-
-	requestsC  map[string]*obs.Counter
-	latencyH   map[string]*obs.Histogram
-	errorsC    *obs.Counter
-	shedC      *obs.Counter
-	pingFailC  *obs.Counter
-	forwardsC  *obs.Counter
-	transfersC *obs.Counter
-	promoteC   *obs.Counter
-
-	mu         sync.Mutex
-	view       View
-	journal    map[string]string // canonical query key -> acknowledged digest
-	syncedView uint64            // as primary: view whose backup holds our state
-
-	syncMu sync.Mutex // serializes outbound state transfers
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	requestsC map[string]*obs.Counter
+	latencyH  map[string]*obs.Histogram
+	errorsC   *obs.Counter
+	shedC     *obs.Counter
 }
 
-// NewReplica builds a replica; call Start to begin pinging the view
-// service, and mount Handlers on an HTTP server at Name.
+// NewReplica builds a replica; mount Handlers on an HTTP server at Name.
 func NewReplica(o ReplicaOptions) *Replica {
 	r := &Replica{
-		name:    o.Name,
-		vsURL:   o.ViewURL,
-		be:      o.Backend,
-		cache:   NewCache(o.CacheEntries),
-		adm:     newAdmission(o.MaxInFlight),
-		log:     o.Logger,
-		rec:     o.Recorder,
-		start:   time.Now(),
-		journal: make(map[string]string),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		name:      o.Name,
+		be:        o.Backend,
+		cache:     NewCache(o.CacheEntries),
+		adm:       newAdmission(o.MaxInFlight),
+		requestsC: make(map[string]*obs.Counter, len(Endpoints)),
+		latencyH:  make(map[string]*obs.Histogram, len(Endpoints)),
 	}
-	tr := o.Transport
-	if tr == nil {
-		tr = http.DefaultTransport
-	}
-	to := o.Timeouts.fill()
-	r.pingHC = &http.Client{Transport: tr, Timeout: to.Ping}
-	r.fwdHC = &http.Client{Transport: tr, Timeout: to.Forward}
-	r.xferHC = &http.Client{Transport: tr, Timeout: to.Transfer}
 	r.cache.Instrument(o.Registry)
-	r.requestsC = make(map[string]*obs.Counter, len(Endpoints))
-	r.latencyH = make(map[string]*obs.Histogram, len(Endpoints))
 	if reg := o.Registry; reg != nil {
 		for _, ep := range Endpoints {
 			r.requestsC[ep] = reg.Counter(fmt.Sprintf(`%s{endpoint=%q}`, MetricRequests, ep),
@@ -167,197 +65,21 @@ func NewReplica(o ReplicaOptions) *Replica {
 		}
 		r.errorsC = reg.Counter(MetricErrors, "query requests answered with an error status")
 		r.shedC = reg.Counter(MetricShed, "query requests shed by admission control (503 + Retry-After)")
-		r.pingFailC = reg.Counter(MetricPingFailures, "view-service pings that failed (unreachable or undecodable)")
-		r.forwardsC = reg.Counter(MetricForwards, "responses forwarded to the backup before acknowledgement")
-		r.transfersC = reg.Counter(MetricTransfers, "full state transfers sent to a fresh backup")
-		r.promoteC = reg.Counter(MetricPromotions, "backup-to-primary promotions on this replica")
 	}
 	return r
-}
-
-// Cache exposes the hot-pair cache (for tests and status pages).
-func (r *Replica) Cache() *Cache { return r.cache }
-
-// View returns the replica's latest view of the view.
-func (r *Replica) View() View {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.view
-}
-
-// Start launches the ping loop at the given interval.
-func (r *Replica) Start(interval time.Duration) {
-	go func() {
-		defer close(r.done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			r.PingOnce()
-			select {
-			case <-r.stop:
-				return
-			case <-t.C:
-			}
-		}
-	}()
-}
-
-// Close stops the ping loop. The HTTP server owning the handlers is shut
-// down by the caller.
-func (r *Replica) Close() {
-	r.stopOnce.Do(func() { close(r.stop) })
-	<-r.done
-}
-
-// PingOnce sends one ping to the view service and absorbs the returned
-// view: promotion bookkeeping on role change, then a state transfer if
-// this replica is primary of a view with an unsynced backup. Tests call it
-// directly to step the protocol deterministically.
-func (r *Replica) PingOnce() {
-	r.mu.Lock()
-	old := r.view
-	r.mu.Unlock()
-	resp, err := r.pingHC.Get(fmt.Sprintf("%s/ping?addr=%s&num=%d", r.vsURL, url.QueryEscape(r.name), old.Num))
-	if err != nil {
-		r.pingFailC.Inc()
-		r.log.Printf("viewservice unreachable: %v", err)
-		return
-	}
-	var v View
-	err = json.NewDecoder(resp.Body).Decode(&v)
-	resp.Body.Close()
-	if err != nil {
-		r.pingFailC.Inc()
-		r.log.Printf("viewservice ping: %v", err)
-		return
-	}
-	if v.Num != old.Num {
-		r.mu.Lock()
-		r.view = v
-		r.mu.Unlock()
-		role := "idle"
-		switch r.name {
-		case v.Primary:
-			role = "primary"
-		case v.Backup:
-			role = "backup"
-		}
-		if r.name == v.Primary && old.Num > 0 && old.Primary != r.name {
-			r.promoteC.Inc()
-			r.log.Printf("promoted to primary in view %d (journal %d entries, cache %d)",
-				v.Num, r.journalLen(), r.cache.Len())
-		} else {
-			r.log.Printf("view %d: %s", v.Num, role)
-		}
-		r.rec.Event(PhViewChange, time.Since(r.start), flight.Attrs{ID: int64(v.Num), S: role})
-	}
-	r.maybeSync(v)
-}
-
-// maybeSync pushes a state transfer when this replica is primary of a view
-// whose backup has not received one.
-func (r *Replica) maybeSync(v View) {
-	if v.Primary != r.name || v.Backup == "" {
-		return
-	}
-	r.mu.Lock()
-	synced := r.syncedView == v.Num
-	r.mu.Unlock()
-	if !synced {
-		if err := r.transferTo(v); err != nil {
-			r.log.Printf("state transfer to %s failed: %v", v.Backup, err)
-		}
-	}
-}
-
-// transferMsg is the state-transfer payload.
-type transferMsg struct {
-	View    uint64            `json:"view"`
-	Journal map[string]string `json:"journal"`
-	Entries []Entry           `json:"entries"`
-}
-
-// applyMsg is the per-response forward payload.
-type applyMsg struct {
-	View   uint64 `json:"view"`
-	Key    string `json:"key"`
-	Digest string `json:"digest"`
-	Body   []byte `json:"body"`
-}
-
-// transferTo ships the full journal and cache snapshot to the view's
-// backup. Serialized so concurrent queries trigger at most one transfer.
-func (r *Replica) transferTo(v View) error {
-	r.syncMu.Lock()
-	defer r.syncMu.Unlock()
-	r.mu.Lock()
-	if r.syncedView == v.Num { // raced with another transfer
-		r.mu.Unlock()
-		return nil
-	}
-	journal := make(map[string]string, len(r.journal))
-	for k, d := range r.journal {
-		journal[k] = d
-	}
-	r.mu.Unlock()
-	msg := transferMsg{View: v.Num, Journal: journal, Entries: r.cache.Snapshot()}
-	// Background context: a transfer is amortized across every client
-	// waiting on it, so no single request's cancellation may abort it.
-	if err := r.postJSON(context.Background(), r.xferHC, v.Backup+"/internal/transfer", msg); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	r.syncedView = v.Num
-	r.mu.Unlock()
-	r.transfersC.Inc()
-	r.rec.Event(PhTransfer, time.Since(r.start), flight.Attrs{
-		ID: int64(v.Num), N: int64(len(journal)), M: int64(len(msg.Entries)),
-	})
-	r.log.Printf("transferred state to %s: %d journal entries, %d cached responses",
-		v.Backup, len(journal), len(msg.Entries))
-	return nil
-}
-
-func (r *Replica) postJSON(ctx context.Context, hc *http.Client, url string, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	// NewRequest over a bytes.Reader sets GetBody, so a chaos transport
-	// can legally duplicate the delivery — the receiver's handlers are
-	// idempotent and re-application is digest-checked.
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: status %d", url, resp.StatusCode)
-	}
-	return nil
 }
 
 // Handlers returns the replica's HTTP surface, ready to mount on the ops
 // mux (ops.Options.Extra) or a bare ServeMux.
 func (r *Replica) Handlers() map[string]http.Handler {
-	h := map[string]http.Handler{
-		"/internal/apply":    http.HandlerFunc(r.handleApply),
-		"/internal/transfer": http.HandlerFunc(r.handleTransfer),
-	}
+	h := make(map[string]http.Handler, len(Endpoints))
 	for _, ep := range Endpoints {
 		h["/api/"+ep] = r.queryHandler(ep)
 	}
 	return h
 }
 
-// queryHandler wraps one endpoint with role enforcement, the cache, the
-// journal, and backup forwarding.
+// queryHandler wraps one endpoint with admission control and the cache.
 func (r *Replica) queryHandler(endpoint string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		start := time.Now()
@@ -366,8 +88,8 @@ func (r *Replica) queryHandler(endpoint string) http.Handler {
 
 		// Admission control: shed rather than queue once MaxInFlight
 		// queries are executing. 503 + Retry-After tells a generic client
-		// this is overload, not failure; the view-aware Client's jittered
-		// backoff desynchronizes the retries.
+		// this is overload, not failure; the Client's jittered backoff
+		// desynchronizes the retries.
 		if !r.adm.tryAcquire() {
 			r.shedC.Inc()
 			w.Header().Set("Retry-After", "1")
@@ -387,24 +109,10 @@ func (r *Replica) queryHandler(endpoint string) http.Handler {
 		}
 		key := q.CanonicalKey(endpoint)
 
-		r.mu.Lock()
-		v := r.view
-		r.mu.Unlock()
-		if v.Primary != r.name {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusConflict)
-			json.NewEncoder(w).Encode(map[string]any{
-				"error": "not primary", "view": v,
-			})
-			r.errorsC.Inc()
-			return
-		}
-
 		if body, digest, ok := r.cache.Get(key); ok {
-			r.reply(w, v, digest, body, true)
+			r.reply(w, digest, body, true)
 			return
 		}
-
 		body, digest, err := r.be.Answer(req.Context(), endpoint, q)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
@@ -416,54 +124,17 @@ func (r *Replica) queryHandler(endpoint string) http.Handler {
 			r.fail(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-
-		r.mu.Lock()
-		if prev, ok := r.journal[key]; ok && prev != digest {
-			r.mu.Unlock()
-			r.fail(w, http.StatusInternalServerError,
-				fmt.Sprintf("journal divergence for %s: %s != %s", key, digest, prev))
-			return
-		}
-		r.mu.Unlock()
-
-		if v.Backup != "" {
-			r.mu.Lock()
-			synced := r.syncedView == v.Num
-			r.mu.Unlock()
-			if !synced {
-				if terr := r.transferTo(v); terr != nil {
-					r.fail(w, http.StatusServiceUnavailable, "backup not synced: "+terr.Error())
-					return
-				}
-			}
-			// The forward rides the request context: if the client gives up,
-			// the primary stops trying to replicate an answer it will never
-			// acknowledge. The backup may still apply it — harmless, since
-			// an unacknowledged digest constrains nothing.
-			if ferr := r.postJSON(req.Context(), r.fwdHC, v.Backup+"/internal/apply", applyMsg{
-				View: v.Num, Key: key, Digest: digest, Body: body,
-			}); ferr != nil {
-				// Refuse to acknowledge what the backup has not seen.
-				r.fail(w, http.StatusBadGateway, "backup forward failed: "+ferr.Error())
-				return
-			}
-			r.forwardsC.Inc()
-		}
-
-		r.mu.Lock()
-		r.journal[key] = digest
-		r.mu.Unlock()
 		r.cache.Put(key, body, digest)
-		r.reply(w, v, digest, body, false)
+		r.reply(w, digest, body, false)
 	})
 }
 
-// reply writes an acknowledged response.
-func (r *Replica) reply(w http.ResponseWriter, v View, digest string, body []byte, hit bool) {
+// reply writes an answer with its digest and the archive it came from.
+func (r *Replica) reply(w http.ResponseWriter, digest string, body []byte, hit bool) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("X-S2S-Digest", digest)
-	h.Set("X-S2S-View", fmt.Sprintf("%d", v.Num))
+	h.Set("X-S2S-Archive", r.be.ArchiveID())
 	h.Set("X-S2S-Served-By", r.name)
 	if hit {
 		h.Set("X-S2S-Cache", "hit")
@@ -476,76 +147,6 @@ func (r *Replica) reply(w http.ResponseWriter, v View, digest string, body []byt
 func (r *Replica) fail(w http.ResponseWriter, status int, msg string) {
 	r.errorsC.Inc()
 	writeJSON(w, status, map[string]string{"error": msg})
-}
-
-// handleApply is the backup's side of response forwarding.
-func (r *Replica) handleApply(w http.ResponseWriter, req *http.Request) {
-	var msg applyMsg
-	if err := json.NewDecoder(req.Body).Decode(&msg); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	r.mu.Lock()
-	if msg.View < r.view.Num {
-		v := r.view
-		r.mu.Unlock()
-		writeJSON(w, http.StatusConflict, map[string]any{"error": "stale view", "view": v})
-		return
-	}
-	if prev, ok := r.journal[msg.Key]; ok && prev != msg.Digest {
-		r.mu.Unlock()
-		writeJSON(w, http.StatusConflict, map[string]string{
-			"error": fmt.Sprintf("digest conflict for %s: have %s, got %s", msg.Key, prev, msg.Digest),
-		})
-		return
-	}
-	r.journal[msg.Key] = msg.Digest
-	r.mu.Unlock()
-	r.cache.Put(msg.Key, msg.Body, msg.Digest)
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleTransfer installs a full state transfer from the primary.
-func (r *Replica) handleTransfer(w http.ResponseWriter, req *http.Request) {
-	var msg transferMsg
-	if err := json.NewDecoder(req.Body).Decode(&msg); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	r.mu.Lock()
-	if msg.View < r.view.Num {
-		v := r.view
-		r.mu.Unlock()
-		writeJSON(w, http.StatusConflict, map[string]any{"error": "stale view", "view": v})
-		return
-	}
-	r.journal = msg.Journal
-	if r.journal == nil {
-		r.journal = make(map[string]string)
-	}
-	r.mu.Unlock()
-	r.cache.Install(msg.Entries)
-	r.log.Printf("installed state transfer: view %d, %d journal entries, %d cached responses",
-		msg.View, len(msg.Journal), len(msg.Entries))
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// Journal returns a copy of the acknowledged-response journal (tests
-// assert failover safety against it).
-func (r *Replica) Journal() map[string]string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]string, len(r.journal))
-	for k, d := range r.journal {
-		out[k] = d
-	}
-	return out
-}
-
-func (r *Replica) journalLen() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.journal)
 }
 
 // admission is a bounded in-flight gate: a semaphore that refuses

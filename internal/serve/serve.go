@@ -1,9 +1,9 @@
 // Package serve is the measurement query service: the layer that turns an
-// archived internal/store dataset into a long-running, replicated HTTP/JSON
-// API — the serving half of the paper's platform, where per-pair RTT
-// series, path histories, and routing/congestion summaries from the
-// traceroute archive are consumed continuously by operators rather than by
-// one-shot batch CLIs.
+// archived internal/store dataset into a long-running HTTP/JSON API served
+// by interchangeable replicas — the serving half of the paper's platform,
+// where per-pair RTT series, path histories, and routing/congestion
+// summaries from the traceroute archive are consumed continuously by
+// operators rather than by one-shot batch CLIs.
 //
 // The package has four layers:
 //
@@ -15,33 +15,34 @@
 //   - Cache is the hot-pair LRU in front of the backend: query results for
 //     popular pairs (zipfian in practice) are served from memory with hit,
 //     miss, and eviction metrics.
-//   - ViewService + Replica are the replication layer, the classic
-//     viewservice/pbservice shape: a lightweight view service tracks
-//     replica liveness through pings and publishes numbered views
-//     (primary, backup); the primary executes queries and forwards every
-//     acknowledged result to the backup before replying, a new backup
-//     receives a full state transfer, and when the primary dies the backup
-//     is promoted at the next view change — so a killed primary costs
-//     availability only until the view advances, and an acknowledged
-//     response is never contradicted after failover.
-//   - Client + RunFleet are the consumption side: a view-aware HTTP client
-//     that rides through failovers, and a synthetic client fleet
+//   - Replica is one query server: admission control, the cache, and the
+//     backend behind HTTP. Every answer is a deterministic function of the
+//     sealed archive, so replicas opened on the same archive are
+//     interchangeable and share no state: there is no primary, no
+//     replication protocol, and no coordinator. Each reply carries the
+//     archive's content identity (X-S2S-Archive), the one fact a client
+//     must check before trusting a replica.
+//   - Client + RunFleet are the consumption side: a client that fails over
+//     across a static replica list and never accepts an answer from a
+//     different archive than its first, and a synthetic client fleet
 //     (thousands of concurrent querents, seeded zipfian pair popularity,
 //     deterministic request schedule) that drives throughput/latency
-//     benchmarks — the BENCH_009.json trajectory.
+//     benchmarks.
 package serve
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"net/http"
 	"net/url"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -53,42 +54,38 @@ import (
 	"repro/internal/trace"
 )
 
-// Metric families the query service exports. The cache and view families
-// feed the alert engine's serve_cache_collapse and view_flap rules; the
-// shed and ping-failure families feed load_shed and partition_suspect.
+// Metric families the query service exports. The cache families feed the
+// alert engine's serve_cache_collapse rule; the shed family feeds
+// load_shed.
 const (
 	MetricCacheHits      = "s2s_serve_cache_hits_total"
 	MetricCacheMisses    = "s2s_serve_cache_misses_total"
 	MetricCacheEvictions = "s2s_serve_cache_evictions_total"
 	MetricCacheEntries   = "s2s_serve_cache_entries"
-	MetricViewChanges    = "s2s_serve_view_changes_total"
-	MetricViewNum        = "s2s_serve_view_num"
 	MetricRequests       = "s2s_serve_requests_total"
 	MetricErrors         = "s2s_serve_request_errors_total"
 	MetricShed           = "s2s_serve_shed_total"
-	MetricPingFailures   = "s2s_serve_ping_failures_total"
-	MetricForwards       = "s2s_serve_forwards_total"
-	MetricTransfers      = "s2s_serve_state_transfers_total"
-	MetricPromotions     = "s2s_serve_promotions_total"
 	MetricLatency        = "s2s_serve_request_seconds"
+	// MetricForwards is the family bench/servework.go reports as the
+	// serve.forwards layer. A primary used to forward each answer it
+	// computed to its backup; replicas forward nothing now, and the same
+	// count, answers computed from the store, is the miss counter. Rename
+	// the layer and drop this alias with the next benchmark change.
+	MetricForwards = MetricCacheMisses
 )
 
-// Flight phases the serving layer emits.
-const (
-	PhViewChange = "view_change"    // event: the view advanced; id = view num, s = "primary|backup"
-	PhTransfer   = "state_transfer" // event: primary pushed state to a fresh backup; n = journal entries, m = cache entries
-	PhServeTick  = "serve_tick"     // event: daemon heartbeat driving metric snapshots and alert evaluation
-)
+// PhServeTick is the flight event of the daemon heartbeat that drives
+// metric snapshots and alert evaluation.
+const PhServeTick = "serve_tick"
 
 // Endpoints is the fixed set of query endpoints, in display order. The
 // per-endpoint request counters and latency histograms are labeled with
 // these names.
 var Endpoints = []string{"series", "paths", "summary", "pairs", "meta"}
 
-// BackendConfig parameterizes a Backend.
+// BackendConfig parameterizes a Backend. Both fields shape answers, so
+// both are part of the archive identity.
 type BackendConfig struct {
-	// Workers sizes store scans behind multi-pair queries (0 = all cores).
-	Workers int
 	// Interval is the dataset's measurement cadence — the RTT slot width
 	// for the congestion summary operator (default 3h, the long-term
 	// campaign round length).
@@ -115,6 +112,7 @@ type Backend struct {
 	st     *store.Store
 	mapper *aspath.Mapper
 	cfg    BackendConfig
+	id     string
 }
 
 // OpenBackend opens the store directory at dataPath and, when a .bgp.tsv
@@ -127,23 +125,36 @@ func OpenBackend(dataPath string, cfg BackendConfig) (*Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := NewBackend(st, nil, cfg)
 	stem := strings.TrimSuffix(dataPath, ".store")
-	if f, err := os.Open(stem + ".bgp.tsv"); err == nil {
-		table, terr := ipam.ReadTSV(f)
-		f.Close()
-		if terr != nil {
-			return nil, fmt.Errorf("serve: %s.bgp.tsv: %w", stem, terr)
-		}
-		b.mapper = aspath.NewMapper(table)
+	sidecar, err := os.ReadFile(stem + ".bgp.tsv")
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	return b, nil
+	var mapper *aspath.Mapper
+	if sidecar != nil {
+		table, err := ipam.ReadTSV(bytes.NewReader(sidecar))
+		if err != nil {
+			return nil, fmt.Errorf("serve: %s.bgp.tsv: %w", stem, err)
+		}
+		mapper = aspath.NewMapper(table)
+	}
+	cfg = cfg.fill()
+	manifest, err := json.Marshal(st.Manifest())
+	if err != nil {
+		return nil, fmt.Errorf("serve: archive identity: %w", err)
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "manifest %d\n%s\nsidecar %d\n", len(manifest), manifest, len(sidecar))
+	h.Write(sidecar)
+	fmt.Fprintf(h, "\ninterval %d max_points %d\n", int64(cfg.Interval), cfg.MaxPoints)
+	return &Backend{st: st, mapper: mapper, cfg: cfg, id: hex.EncodeToString(h.Sum(nil)[:8])}, nil
 }
 
-// NewBackend wraps an already-opened store. mapper may be nil.
-func NewBackend(st *store.Store, mapper *aspath.Mapper, cfg BackendConfig) *Backend {
-	return &Backend{st: st, mapper: mapper, cfg: cfg.fill()}
-}
+// ArchiveID is the archive's content identity: a hash of the store
+// manifest, the .bgp.tsv sidecar, and the answer-shaping config. Two
+// backends with the same ArchiveID return byte-identical answers, which is
+// what lets any replica serve any query; replies carry it as X-S2S-Archive.
+func (b *Backend) ArchiveID() string { return b.id }
 
 // Store exposes the underlying store (to instrument it, and for tests).
 func (b *Backend) Store() *store.Store { return b.st }
@@ -197,8 +208,8 @@ func ParsePairQuery(v url.Values) (PairQuery, error) {
 	return q, nil
 }
 
-// CanonicalKey is the cache/journal key of a query: endpoint plus the
-// normalized parameters, independent of URL parameter order or spelling.
+// CanonicalKey is the cache key of a query: endpoint plus the normalized
+// parameters, independent of URL parameter order or spelling.
 func (q PairQuery) CanonicalKey(endpoint string) string {
 	return fmt.Sprintf("%s?src=%d&dst=%d&v6=%t&from=%d&to=%d&step=%d",
 		endpoint, q.Src, q.Dst, q.V6, int64(q.From), int64(q.To), int64(q.Step))
@@ -493,9 +504,9 @@ func (b *Backend) Meta() (*MetaResponse, error) {
 }
 
 // Answer executes the query named by endpoint and returns the marshaled
-// JSON body plus its digest — the unit the replication layer forwards,
-// journals, and caches. ctx comes from the HTTP request: an abandoned
-// query stops reading the store mid-way instead of finishing for nobody.
+// JSON body plus its digest — the unit the cache holds. ctx comes from the
+// HTTP request: an abandoned query stops reading the store mid-way instead
+// of finishing for nobody.
 func (b *Backend) Answer(ctx context.Context, endpoint string, q PairQuery) (body []byte, digest string, err error) {
 	var v any
 	switch endpoint {
@@ -523,7 +534,7 @@ func (b *Backend) Answer(ctx context.Context, endpoint string, q PairQuery) (bod
 	return body, Digest(body), nil
 }
 
-// Digest is the response digest used by the replication journal: a
+// Digest is the response digest stamped on replies as X-S2S-Digest: a
 // truncated SHA-256 over the marshaled body.
 func Digest(body []byte) string {
 	sum := sha256.Sum256(body)
@@ -571,18 +582,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.Encode(v)
-}
-
-// sortPairKeys orders timeline keys canonically (src, dst, v4 before v6).
-func sortPairKeys(keys []trace.PairKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.SrcID != b.SrcID {
-			return a.SrcID < b.SrcID
-		}
-		if a.DstID != b.DstID {
-			return a.DstID < b.DstID
-		}
-		return !a.V6 && b.V6
-	})
 }

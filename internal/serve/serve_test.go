@@ -3,9 +3,12 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/netip"
+	"net/url"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,12 +25,19 @@ const fixtureInterval = 6 * time.Hour
 // variants halfway through, so path-history epochs are known.
 func buildStore(t testing.TB, servers, rounds int) string {
 	t.Helper()
+	return buildStoreSeed(t, servers, rounds, 42)
+}
+
+// buildStoreSeed is buildStore with the provenance seed in the manifest
+// set to seed.
+func buildStoreSeed(t testing.TB, servers, rounds int, seed int64) string {
+	t.Helper()
 	dir := filepath.Join(t.TempDir(), "fixture.store")
 	w, err := store.Create(dir, store.Options{PairShards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.SetProvenance("serve-test", 42, "deadbeef")
+	w.SetProvenance("serve-test", seed, "deadbeef")
 	addr4 := func(id int) netip.Addr {
 		return netip.AddrFrom4([4]byte{10, byte(id >> 8), byte(id), 1})
 	}
@@ -170,20 +180,55 @@ func TestPaths(t *testing.T) {
 	}
 }
 
+// TestAnswerDeterministic is the guard stateless serving rests on: two
+// backends opened independently on one archive report the same archive
+// identity and return byte-identical bodies and digests over the load
+// generator's whole query universe — every endpoint, every pair, unbounded
+// and bounded windows — so any replica can answer any query. Another
+// archive, or other answer-shaping config, must change the identity.
 func TestAnswerDeterministic(t *testing.T) {
-	be := openTestBackend(t, buildStore(t, 3, 6))
+	dir := buildStore(t, 3, 6)
+	a, b := openTestBackend(t, dir), openTestBackend(t, dir)
+	if a.ArchiveID() == "" || a.ArchiveID() != b.ArchiveID() {
+		t.Fatalf("independently opened backends report archives %q and %q", a.ArchiveID(), b.ArchiveID())
+	}
+	if other := openTestBackend(t, buildStoreSeed(t, 3, 6, 43)); other.ArchiveID() == a.ArchiveID() {
+		t.Fatal("a store with a different seed has the same archive identity")
+	}
+	wider, err := OpenBackend(dir, BackendConfig{Interval: 2 * fixtureInterval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wider.ArchiveID() == a.ArchiveID() {
+		t.Fatal("a different Interval has the same archive identity")
+	}
+	pairs, _ := a.Store().PairKeys()
+	windows := [][2]time.Duration{{0, -1}, {fixtureInterval, 4 * fixtureInterval}, {2 * fixtureInterval, -1}}
 	for _, ep := range Endpoints {
-		q := PairQuery{Src: 0, Dst: 2, To: -1}
-		b1, d1, err := be.Answer(context.Background(), ep, q)
-		if err != nil {
-			t.Fatalf("%s: %v", ep, err)
-		}
-		b2, d2, err := be.Answer(context.Background(), ep, q)
-		if err != nil {
-			t.Fatalf("%s: %v", ep, err)
-		}
-		if string(b1) != string(b2) || d1 != d2 {
-			t.Fatalf("%s: non-deterministic answer (%s vs %s)", ep, d1, d2)
+		for _, p := range pairs {
+			for _, w := range windows {
+				var q PairQuery
+				if ep != "pairs" && ep != "meta" {
+					vals := Query{Endpoint: ep, Pair: p}.Values()
+					vals.Set("from", fmt.Sprint(int64(w[0])))
+					vals.Set("to", fmt.Sprint(int64(w[1])))
+					var err error
+					if q, err = ParsePairQuery(vals); err != nil {
+						t.Fatal(err)
+					}
+				}
+				b1, d1, err := a.Answer(context.Background(), ep, q)
+				if err != nil {
+					t.Fatalf("%s: %v", q.CanonicalKey(ep), err)
+				}
+				b2, d2, err := b.Answer(context.Background(), ep, q)
+				if err != nil {
+					t.Fatalf("%s: %v", q.CanonicalKey(ep), err)
+				}
+				if string(b1) != string(b2) || d1 != d2 {
+					t.Fatalf("%s: backends disagree (%s vs %s)", q.CanonicalKey(ep), d1, d2)
+				}
+			}
 		}
 	}
 }
@@ -257,6 +302,55 @@ func TestParsePairQuery(t *testing.T) {
 			t.Fatalf("%s: no error", name)
 		}
 	}
+}
+
+// FuzzParsePairQuery feeds ParsePairQuery raw query strings, an input the
+// service does not control. No input may panic, and every accepted query
+// must re-parse from its CanonicalKey parameters to an equal PairQuery.
+func FuzzParsePairQuery(f *testing.F) {
+	pairs := []trace.PairKey{{SrcID: 0, DstID: 1}, {SrcID: 2, DstID: 1, V6: true}}
+	for _, q := range Schedule(1, 0, pairs, 16, 0) {
+		f.Add(q.Values().Encode())
+	}
+	for _, raw := range []string{
+		"src=1&dst=2&to=-1",
+		"src=1&dst=2&from=-3h",
+		"src=1&dst=2&from=-5&to=-7",
+		"src=1&dst=2&from=2h&to=1h",
+		"src=1&dst=2&from=1h&to=1h",
+		"src=1&dst=2&from=3h&to=14400000000000&step=90m",
+		"src=1&dst=2&from=10800000000000&step=5400000000000",
+		"src=+1&dst=02&v6=1&step=-1ns",
+		"src=1&dst=2&to=9223372036854775807",
+		"src=1&dst=2&from=9999999999h",
+		"src=&dst=2",
+		"src=1&dst=2&v6=maybe",
+		"%zz",
+	} {
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		v, err := url.ParseQuery(raw)
+		if err != nil {
+			return
+		}
+		q, err := ParsePairQuery(v)
+		if err != nil {
+			return
+		}
+		_, params, _ := strings.Cut(q.CanonicalKey("series"), "?")
+		cv, err := url.ParseQuery(params)
+		if err != nil {
+			t.Fatalf("canonical key of %q does not parse: %v", raw, err)
+		}
+		again, err := ParsePairQuery(cv)
+		if err != nil {
+			t.Fatalf("canonical key of %q rejected: %v", raw, err)
+		}
+		if again != q {
+			t.Fatalf("%q parsed to %+v, its canonical key to %+v", raw, q, again)
+		}
+	})
 }
 
 func TestCanonicalKeyNormalizes(t *testing.T) {
