@@ -62,7 +62,7 @@ const (
 	PhEpochBuild = "epoch_build"    // span: BGP routing-view build; id = epoch, n = trees carried, m = delta events, s = plane
 	PhCacheSweep = "cache_sweep"    // event: path-cache shard sweep; id = shard, n = stale drops, m = full-reset evictions, s = family
 	PhProbeBatch = "probe_batch"    // event: probe measurement batch milestone; n = cumulative measurements
-	PhShardScan  = "shard_scan"     // span: one store shard decode during a scan; s = shard file, n = records, m = payload bytes
+	PhShardScan  = "shard_scan"     // span: one store shard read (a scan's decode or a pair read's seek); s = shard file, n = records delivered, m = bytes read
 	PhFault      = "fault"          // event: one scheduled fault window; vt = start, id = target, n = length ns, s = fault kind
 	PhDegraded   = "round_degraded" // event: round booked degraded results; n = agent-down tasks, m = watchdog-abandoned tasks
 	PhQuarantine = "quarantine"     // event: pair quarantine transition; n = src cluster, m = dst cluster, s = "add"/"release"

@@ -425,24 +425,21 @@ func (b *Backend) Summary(ctx context.Context, q PairQuery) (*SummaryResponse, e
 		{SrcID: q.Src, DstID: q.Dst, V6: false},
 		{SrcID: q.Src, DstID: q.Dst, V6: true},
 	}
-	window := consumerFuncs{
+	// Lookup delivers both timelines in shard order and write order, the
+	// order of the live stream, so the finding stream matches what a
+	// campaign with -analyze emitted for this pair; the window is pushed
+	// down to the store like Series and Paths do.
+	err := b.st.Lookup(ctx, keys, from, to, consumerFuncs{
 		tr: func(tr *trace.Traceroute) {
-			if tr.At >= from && (to < 0 || tr.At < to) {
-				resp.Records++
-				stage.OnTraceroute(tr)
-			}
+			resp.Records++
+			stage.OnTraceroute(tr)
 		},
 		ping: func(p *trace.Ping) {
-			if p.At >= from && (to < 0 || p.At < to) {
-				resp.Records++
-				stage.OnPing(p)
-			}
+			resp.Records++
+			stage.OnPing(p)
 		},
-	}
-	// Pairs with one worker keeps the exact shard-order delivery of the
-	// live stream, so the finding stream matches what a campaign with
-	// -analyze emitted for this pair.
-	if err := b.st.PairsCtx(ctx, 1, keys, window); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	stage.Finish()

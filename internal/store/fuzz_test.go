@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -11,7 +13,10 @@ import (
 
 // FuzzShardIndex throws arbitrary bytes at the footer decoder (it must
 // reject or decode, never panic) and round-trips every successful decode:
-// re-encoding a decoded index and decoding again must reproduce it.
+// re-encoding a decoded index and decoding again must reproduce it. The
+// same bytes are then read as a whole shard file — footer first, then the
+// frame directory it locates — and every directory the decoder accepts
+// must tile the stream as the footer describes and round-trip too.
 func FuzzShardIndex(f *testing.F) {
 	seedIxs := []*shardIndex{
 		{Records: 1, Traceroutes: 1, PayloadBytes: 10, RawBytes: 10,
@@ -29,22 +34,72 @@ func FuzzShardIndex(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
+	// Whole shard files, plain and gzip.
+	for _, compress := range []string{"", CompressionGzip} {
+		dir := writeStore(f, synthCorpus(9, 3, 1, 2), Options{PairShards: 1, Compression: compress})
+		m, err := ReadManifest(dir)
+		if err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, m.Shards[0].File))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ix, err := decodeIndex(data)
+		if ix, err := decodeIndex(data); err == nil {
+			again, err := decodeIndex(encodeIndex(ix))
+			if err != nil {
+				t.Fatalf("re-encode of a valid index does not decode: %v", err)
+			}
+			if !reflect.DeepEqual(ix, again) {
+				t.Fatalf("round trip drifted:\nfirst  %+v\nsecond %+v", ix, again)
+			}
+			if ix.Records != ix.Traceroutes+ix.Pings {
+				t.Fatalf("decoder accepted inconsistent counts: %d != %d + %d",
+					ix.Records, ix.Traceroutes, ix.Pings)
+			}
+		}
+
+		ix, err := footerAt(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			return
 		}
-		again, err := decodeIndex(encodeIndex(ix))
+		raw := data[ix.DirOffset : ix.DirOffset+ix.DirBytes]
+		ents, err := decodeDir(raw, ix, nil)
 		if err != nil {
-			t.Fatalf("re-encode of a valid index does not decode: %v", err)
+			return
 		}
-		if !reflect.DeepEqual(ix, again) {
-			t.Fatalf("round trip drifted:\nfirst  %+v\nsecond %+v", ix, again)
+		var frames, total int64
+		for i, e := range ents {
+			if i > 0 && !pairLess(ents[i-1].Key, e.Key) {
+				t.Fatalf("decoder accepted unsorted keys at %d", i)
+			}
+			end := int64(0)
+			for _, fr := range e.Frames {
+				if fr.Len <= 0 || fr.Off < end || fr.Off+fr.Len > ix.RawBytes {
+					t.Fatalf("decoder accepted frame %+v of %v after %d in a %d-byte stream", fr, e.Key, end, ix.RawBytes)
+				}
+				end = fr.Off + fr.Len
+				total += fr.Len
+			}
+			frames += int64(len(e.Frames))
 		}
-		if ix.Records != ix.Traceroutes+ix.Pings {
-			t.Fatalf("decoder accepted inconsistent counts: %d != %d + %d",
-				ix.Records, ix.Traceroutes, ix.Pings)
+		if frames != ix.Records || total != ix.RawBytes {
+			t.Fatalf("decoder accepted %d frames over %d bytes for %d records over %d", frames, total, ix.Records, ix.RawBytes)
+		}
+		again, err := decodeDir(encodeDir(ents), ix, nil)
+		if err != nil || !reflect.DeepEqual(ents, again) {
+			t.Fatalf("directory round trip drifted (%v)", err)
+		}
+		if len(ents) > 0 {
+			mid := ents[len(ents)/2]
+			one, err := decodeDir(raw, ix, []trace.PairKey{mid.Key})
+			if err != nil || !reflect.DeepEqual(one, []dirEntry{mid}) {
+				t.Fatalf("filtered decode of %v returned %+v (%v)", mid.Key, one, err)
+			}
 		}
 	})
 }

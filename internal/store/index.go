@@ -10,14 +10,15 @@ import (
 	"repro/internal/trace"
 )
 
-// Shard file framing:
+// Shard file framing (format v2):
 //
-//	8 bytes  magic "S2SSHRD1"
-//	1 byte   flags (bit0: gzip payload)
-//	payload  record frames (trace binary framing, possibly gzip)
-//	footer   encoded shardIndex (always uncompressed)
-//	4 bytes  footer length, little endian
-//	4 bytes  trailer magic "S2SX"
+//	8 bytes    magic "S2SSHRD1"
+//	1 byte     flags (bit0: gzip payload)
+//	payload    record frames (trace binary framing, possibly gzip)
+//	directory  encoded frame directory (always uncompressed; see dir.go)
+//	footer     encoded shardIndex (always uncompressed)
+//	4 bytes    footer length, little endian
+//	4 bytes    trailer magic "S2SX"
 const (
 	shardMagic   = "S2SSHRD1"
 	trailerMagic = "S2SX"
@@ -27,8 +28,9 @@ const (
 	flagGzip byte = 1
 )
 
-// indexVersion is the footer encoding version.
-const indexVersion = 1
+// indexVersion is the footer encoding version. Version 2 added the frame
+// directory; version 1 shards have none and are rejected.
+const indexVersion = 2
 
 // exactPairCap is the largest distinct-pair population stored as an exact
 // sorted list; above it the footer switches to a bloom filter.
@@ -50,10 +52,17 @@ type shardIndex struct {
 	// shard is compressed); RawBytes is the uncompressed framing size.
 	PayloadBytes int64
 	RawBytes     int64
+	// DirOffset and DirBytes locate the frame directory in the file. Open
+	// reads only the footer; pair reads fetch the directory on demand.
+	DirOffset int64
+	DirBytes  int64
 	// Exact is the sorted distinct pair list when small enough, else nil
 	// and Bloom holds a filter over the pair keys.
 	Exact []trace.PairKey
 	Bloom []byte
+
+	// gzip comes from the shard header's flags, not from the footer.
+	gzip bool
 }
 
 // canContain reports whether the shard may hold records for key. False is
@@ -145,6 +154,8 @@ func encodeIndex(ix *shardIndex) []byte {
 	buf = binary.AppendVarint(buf, int64(ix.MaxAt))
 	buf = appendUvarint(buf, uint64(ix.PayloadBytes))
 	buf = appendUvarint(buf, uint64(ix.RawBytes))
+	buf = appendUvarint(buf, uint64(ix.DirOffset))
+	buf = appendUvarint(buf, uint64(ix.DirBytes))
 	if ix.Exact != nil {
 		buf = append(buf, pairSetExact)
 		buf = appendUvarint(buf, uint64(len(ix.Exact)))
@@ -210,7 +221,7 @@ func decodeIndex(data []byte) (*shardIndex, error) {
 		return nil, err
 	}
 	if ver != indexVersion {
-		return nil, fmt.Errorf("store: unsupported index version %d", ver)
+		return nil, fmt.Errorf("store: unsupported shard index version %d (this build reads version %d)", ver, indexVersion)
 	}
 	ix := new(shardIndex)
 	for _, dst := range []*int64{&ix.Records, &ix.Traceroutes, &ix.Pings} {
@@ -239,7 +250,7 @@ func decodeIndex(data []byte) (*shardIndex, error) {
 		return nil, fmt.Errorf("store: index span inverted (%d > %d)", minAt, maxAt)
 	}
 	ix.MinAt, ix.MaxAt = time.Duration(minAt), time.Duration(maxAt)
-	for _, dst := range []*int64{&ix.PayloadBytes, &ix.RawBytes} {
+	for _, dst := range []*int64{&ix.PayloadBytes, &ix.RawBytes, &ix.DirOffset, &ix.DirBytes} {
 		v, err := c.uvarint()
 		if err != nil {
 			return nil, err
@@ -306,14 +317,9 @@ func decodeIndex(data []byte) (*shardIndex, error) {
 	return ix, nil
 }
 
-// pairSetOf finalizes the distinct-pair map of a shard into the footer
-// representation: a sorted exact list when small, a bloom filter otherwise.
-func pairSetOf(pairs map[trace.PairKey]struct{}) (exact []trace.PairKey, bloom []byte) {
-	keys := make([]trace.PairKey, 0, len(pairs))
-	for k := range pairs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return pairLess(keys[i], keys[j]) })
+// pairSetOf turns a shard's sorted distinct keys into the footer
+// representation: the exact list when small, a bloom filter otherwise.
+func pairSetOf(keys []trace.PairKey) (exact []trace.PairKey, bloom []byte) {
 	if len(keys) <= exactPairCap {
 		return keys, nil
 	}

@@ -1,24 +1,37 @@
 // Package store is the sharded, indexed on-disk dataset store. A store is
 // a directory of shard files plus a manifest: records are routed at write
-// time by (virtual day, pair shard), each shard holds records in the
-// internal/trace binary framing (optionally gzip-compressed) followed by a
-// footer index (record counts, time span, pair set), and manifest.json
-// pins the run that produced the store (seed, topology digest) next to the
-// shard table.
+// time by (virtual day, pair shard), and manifest.json pins the run that
+// produced the store (seed, topology digest) next to the shard table.
+//
+// A shard file (format v2) is
+//
+//	header | payload | directory | footer | trailer
+//
+// The payload holds the records in the internal/trace binary framing,
+// optionally gzip-compressed. The frame directory lists, for every
+// timeline key in the shard, the raw-stream offset and length of each of
+// its frames. The footer index holds record counts, the time span, the
+// pair set (exact list or bloom filter) and where the directory sits.
+// Shards are written round-major, so every run of consecutive frames
+// holds every pair of the column; the directory is what lets a pair read
+// skip the rest. Version-1 shards (no directory) are rejected.
 //
 // The layout exists so dataset size is independent of RAM and so readers
 // parallelize at the I/O level:
 //
-//   - Scan decodes shards on a worker pool and delivers records in a fixed
-//     shard order (day-major, pair-shard-minor), which preserves the
-//     per-pair record order of the writing campaign — both protocols of a
-//     directed pair hash to the same pair shard, so round-adjacent v4/v6
-//     measurements stay adjacent.
-//   - Pairs pushes pair predicates down to the index: only shards whose
-//     footer pair set can contain a requested key are opened, and within a
-//     shard frames are skipped at the frame-header level (never fully
-//     decoded) unless they match.
-//   - TimeRange prunes shards by the footer time span.
+//   - Open reads footers only, never directories or payloads.
+//   - Scan decodes whole shards on a worker pool and delivers records in
+//     a fixed shard order (day-major, pair-shard-minor), which preserves
+//     the per-pair record order of the writing campaign — both protocols
+//     of a directed pair hash to the same pair shard, so round-adjacent
+//     v4/v6 measurements stay adjacent. At most workers+2 decoded shards
+//     wait for the consumer.
+//   - Pair, Lookup and Pairs push pair predicates down: only shards whose
+//     column, footer pair set and time span admit a requested key are
+//     opened, and within a shard only the directory and the wanted frames
+//     are read, in offset order, so write order holds. A gzip shard is
+//     still inflated whole and then sliced through the same directory:
+//     compression trades lookup cost for space.
 //
 // Instrument and Trace thread the obs metrics registry and the flight
 // recorder through reads and writes; like everywhere else in the pipeline,
@@ -50,7 +63,8 @@ const (
 const ManifestName = "manifest.json"
 
 // CompressionGzip enables per-shard gzip compression of the record payload
-// (footers and the manifest stay uncompressed so pruning never inflates).
+// (directories, footers and the manifest stay uncompressed so pruning
+// never inflates).
 const CompressionGzip = "gzip"
 
 // Options parameterizes a new store.

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"net/netip"
 	"os"
@@ -299,50 +300,6 @@ func TestPairsEmptyAndUnknown(t *testing.T) {
 	}
 }
 
-// TestTimeRange checks shard pruning plus exact filtering by timestamp.
-func TestTimeRange(t *testing.T) {
-	corpus := synthCorpus(5, 4, 4, 2)
-	dir := writeStore(t, corpus, Options{PairShards: 3})
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	s.Instrument(reg)
-	from, to := 24*time.Hour, 60*time.Hour
-	var want []string
-	for _, rec := range corpus {
-		var at time.Duration
-		switch v := rec.(type) {
-		case *trace.Traceroute:
-			at = v.At
-		case *trace.Ping:
-			at = v.At
-		}
-		if at >= from && at < to {
-			want = append(want, recBytes(t, rec))
-		}
-	}
-	var col collector
-	if err := s.TimeRange(4, from, to, &col); err != nil {
-		t.Fatal(err)
-	}
-	if len(col.recs) != len(want) {
-		t.Fatalf("TimeRange delivered %d records, want %d", len(col.recs), len(want))
-	}
-	if reg.Counter(MetricShardsPruned, "").Value() == 0 {
-		t.Fatal("TimeRange pruned no shards despite a 4-day corpus and a 1.5-day window")
-	}
-	// Open-ended ranges cover everything.
-	var all collector
-	if err := s.TimeRange(4, 0, -1, &all); err != nil {
-		t.Fatal(err)
-	}
-	if len(all.recs) != len(corpus) {
-		t.Fatalf("open TimeRange delivered %d records, want %d", len(all.recs), len(corpus))
-	}
-}
-
 // TestCompact forces segment splits with a tiny open-shard budget, merges
 // them, and checks the merged store scans identically.
 func TestCompact(t *testing.T) {
@@ -492,6 +449,48 @@ func TestOpenRejectsCorruption(t *testing.T) {
 	if _, err := Open(dir); err != nil {
 		t.Fatalf("restored store does not open: %v", err)
 	}
+	// A version-1 footer (no frame directory) is rejected by version.
+	v1 := append([]byte(nil), data...)
+	flen := int(binary.LittleEndian.Uint32(v1[len(v1)-trailerLen:]))
+	v1[len(v1)-trailerLen-flen] = 1
+	if err := os.WriteFile(victim, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version-1 shard not rejected by version: %v", err)
+	}
+	// A footer whose directory extent disagrees with the file layout.
+	if err := os.WriteFile(victim, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rewriteShard(t, victim, func(ix *shardIndex, dir []byte) []byte {
+		ix.DirBytes++
+		return dir
+	})
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "layout") {
+		t.Fatalf("misplaced directory not rejected: %v", err)
+	}
+	// A corrupt directory body: Open never reads it, so the store opens,
+	// but a pair read of that shard fails rather than trust it.
+	if err := os.WriteFile(victim, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rewriteShard(t, victim, func(ix *shardIndex, dir []byte) []byte {
+		dir[0] ^= 0x7f // the key count
+		return dir
+	})
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open read the directory: %v", err)
+	}
+	var col collector
+	key := s.shards[0].ix.Exact[0]
+	if err := s.Pair(key, 0, -1, &col); err == nil || !strings.Contains(err.Error(), m.Shards[0].File) {
+		t.Fatalf("pair read through a corrupt directory: %v", err)
+	}
+	if err := os.WriteFile(victim, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	// A manifest that points outside the directory must be rejected.
 	m.Shards[0].File = "../escape.shard"
 	if err := WriteManifest(dir, m); err != nil {
@@ -511,9 +510,9 @@ func TestIndexRoundTrip(t *testing.T) {
 		PayloadBytes: 1234, RawBytes: 4096,
 		Exact: []trace.PairKey{{SrcID: 1, DstID: 2}, {SrcID: 1, DstID: 2, V6: true}, {SrcID: 3, DstID: 1}},
 	}
-	big := make(map[trace.PairKey]struct{})
+	var big []trace.PairKey
 	for i := 0; i < exactPairCap+10; i++ {
-		big[trace.PairKey{SrcID: i, DstID: i + 1}] = struct{}{}
+		big = append(big, trace.PairKey{SrcID: i, DstID: i + 1})
 	}
 	exactList, bloom := pairSetOf(big)
 	if exactList != nil || len(bloom) == 0 {
@@ -541,7 +540,7 @@ func TestIndexRoundTrip(t *testing.T) {
 	if exact.canContain(trace.PairKey{SrcID: 3, DstID: 1, V6: true}) {
 		t.Fatal("exact set invented a member")
 	}
-	for k := range big {
+	for _, k := range big {
 		if !blooming.canContain(k) {
 			t.Fatalf("bloom false negative on %+v", k)
 		}

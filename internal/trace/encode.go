@@ -41,16 +41,34 @@ const (
 
 // BinaryWriter streams records in the compact binary framing.
 type BinaryWriter struct {
-	w *bufio.Writer
+	w   *bufio.Writer
+	out *byteCounter
+}
+
+// byteCounter counts the bytes the buffer hands to the underlying writer.
+type byteCounter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // NewBinaryWriter returns a binary record writer.
 func NewBinaryWriter(w io.Writer) *BinaryWriter {
-	return &BinaryWriter{w: bufio.NewWriter(w)}
+	out := &byteCounter{w: w}
+	return &BinaryWriter{w: bufio.NewWriter(out), out: out}
 }
 
 // Flush flushes buffered output.
 func (bw *BinaryWriter) Flush() error { return bw.w.Flush() }
+
+// Written returns how many framing bytes the writer has accepted, flushed
+// or still buffered: the offset at which the next record's frame starts.
+func (bw *BinaryWriter) Written() int64 { return bw.out.n + int64(bw.w.Buffered()) }
 
 func writeAddr(w *bufio.Writer, a netip.Addr) error {
 	if !a.IsValid() {

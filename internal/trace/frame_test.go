@@ -176,3 +176,45 @@ func TestJSONLReaderBlankLinesAndErrors(t *testing.T) {
 		t.Fatal("malformed line decoded without error")
 	}
 }
+
+// TestBinaryWriterWritten checks that Written tracks frame boundaries
+// while records are still buffered: the offsets it reports before each
+// write are where the frame walk finds each frame.
+func TestBinaryWriterWritten(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewBinaryWriter(&buf)
+	tr := sampleTraceroute()
+	var offs []int64
+	// Enough records to overflow the 4 KiB buffer several times.
+	for i := 0; i < 200; i++ {
+		offs = append(offs, w.Written())
+		var err error
+		if i%3 == 0 {
+			err = w.WritePing(samplePing())
+		} else {
+			err = w.WriteTraceroute(tr)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	end := w.Written()
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if end != int64(buf.Len()) || w.Written() != end {
+		t.Fatalf("Written = %d before and %d after Flush, stream holds %d bytes", end, w.Written(), buf.Len())
+	}
+	data := buf.Bytes()
+	off := 0
+	for i, want := range offs {
+		if int64(off) != want {
+			t.Fatalf("frame %d starts at %d, Written reported %d", i, off, want)
+		}
+		h, err := ParseFrameHeader(data[off:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		off += h.Len
+	}
+}
