@@ -77,9 +77,8 @@ func (c *Client) hc() *http.Client {
 	return http.DefaultClient
 }
 
-// Stats returns how many retry sleeps and breaker trips this client has
-// performed — the chaos drill's measure of how hard the fleet had to
-// work to ride the faults.
+// Stats returns how many backoff sleeps and breaker trips this client
+// has performed: how hard it had to work to get its answers.
 func (c *Client) Stats() (retries, breakerTrips int64) {
 	return c.retries.Load(), c.trips.Load()
 }

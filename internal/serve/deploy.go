@@ -21,22 +21,17 @@ type DeployConfig struct {
 	// MaxInFlight bounds each replica's concurrently executing queries
 	// (0 = unlimited).
 	MaxInFlight int
-	// Registry, when set, is shared by every replica — one pane of glass
-	// for a drill. By default each replica gets its own registry (in
-	// Deployment.Registries), which per-replica assertions rely on.
-	Registry *obs.Registry
 }
 
 // Deployment is a set of replicas running in one process on loopback
-// listeners — the harness behind the failover tests, the chaos drill and
-// the benchmark. The production layout (one daemon per process, ops mux)
+// listeners — the harness behind the failover tests and the benchmark. The production layout (one daemon per process, ops mux)
 // wires the same pieces; this just does it compactly.
 type Deployment struct {
 	// Names lists the replicas' base URLs in start order: the static
 	// replica list a Client fails over across. Fixed once StartDeployment
 	// returns.
 	Names []string
-	// Registries holds each replica's metric registry, keyed by name.
+	// Registries holds each replica's own metric registry, keyed by name.
 	Registries map[string]*obs.Registry
 	// VS reports the first live replica as View().Primary. It exists only
 	// because bench/serve.go reads d.VS.View(); drop it with the next
@@ -72,10 +67,7 @@ func (d *Deployment) start(cfg DeployConfig) error {
 	if err != nil {
 		return err
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
