@@ -80,58 +80,18 @@ func run() error {
 		pairsSpec    = flag.String("pairs", "", "load only these src-dst timelines, e.g. 3-7,12-0 (store datasets prune shards)")
 		interval     = flag.Duration("interval", 3*time.Hour, "measurement interval of the dataset")
 		workers      = flag.Int("workers", 0, "store-scan and detector workers (0 = all cores, 1 = sequential)")
-		metrics      = flag.String("metrics", "", "write a final metrics snapshot to this path (.json = JSON, else Prometheus text)")
-		opsAddr      = flag.String("ops", "", "serve live ops endpoints (/metrics, /healthz, /runz, /flight/tail, /debug/pprof) on this address, e.g. :6060")
-		quiet        = flag.Bool("q", false, "suppress progress output on stderr")
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this path")
-		memprofile   = flag.String("memprofile", "", "write a heap profile to this path")
-		blockprof    = flag.String("blockprofile", "", "write a goroutine blocking profile to this path")
-		mutexprof    = flag.String("mutexprofile", "", "write a mutex contention profile to this path")
-		tracePath    = flag.String("trace", "", "write a flight record (JSONL) to this path; inspect with s2sobs")
-		metricsIV    = flag.Duration("metrics-interval", 24*time.Hour, "virtual time between metric snapshots in the flight record")
+		rf           = ops.AddRunFlags("s2sanalyze", 24*time.Hour)
 	)
-	flag.Parse()
-	if err := obs.ValidateRunFlags(*metricsIV, *opsAddr); err != nil {
-		fmt.Fprintf(os.Stderr, "s2sanalyze: %v\n", err)
-		os.Exit(2)
-	}
-	log := obs.NewLogger("s2sanalyze", *quiet)
-
-	obs.DumpOnSIGQUIT()
-	stopProfiles, err := obs.StartProfiles(obs.Profiles{
-		CPU: *cpuprofile, Mem: *memprofile, Block: *blockprof, Mutex: *mutexprof,
-	})
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if perr := stopProfiles(); perr != nil {
-			log.Errorf("profiles: %v", perr)
-		}
-	}()
+	rf.Parse()
 
 	start := time.Now()
 	reg := obs.NewRegistry()
 	recordsC := reg.Counter(obs.MetricRunRecords, "records the run read")
-
-	var rec *flight.Recorder
-	switch {
-	case *tracePath != "":
-		rec, err = flight.Create(*tracePath, flight.Options{
-			Tool:            "s2sanalyze",
-			Registry:        reg,
-			MetricsInterval: *metricsIV,
-		})
-		if err != nil {
-			return err
-		}
-	case *opsAddr != "":
-		rec = flight.New(io.Discard, flight.Options{
-			Tool:            "s2sanalyze",
-			Registry:        reg,
-			MetricsInterval: *metricsIV,
-		})
+	if err := rf.Start(reg); err != nil {
+		return err
 	}
+	defer rf.Stop()
+	rec, log := rf.Rec, rf.Log
 	table, err := loadBGP(dataStem(*data) + ".bgp.tsv")
 	if err != nil {
 		return err
@@ -157,11 +117,9 @@ func run() error {
 		analysisSrc = stage // avoid a typed-nil interface
 	}
 
-	stopOps, err := ops.StartRun(*opsAddr, "s2sanalyze", reg, rec, analysisSrc, log)
-	if err != nil {
+	if err := rf.Serve(analysisSrc); err != nil {
 		return err
 	}
-	defer stopOps()
 
 	keys, err := parsePairs(*pairsSpec)
 	if err != nil {
@@ -306,26 +264,7 @@ func run() error {
 	wall := time.Since(start)
 	reg.Gauge(obs.MetricRunWallSeconds, "wall-clock duration of the run").Set(wall.Seconds())
 	reg.Gauge(obs.MetricRunRecordsPerSec, "records read per wall-clock second").Set(float64(recordsC.Value()) / wall.Seconds())
-	if *metrics != "" {
-		if err := obs.WriteFile(*metrics, reg); err != nil {
-			return err
-		}
-		log.Printf("wrote metrics snapshot to %s", *metrics)
-	}
-	if rec != nil {
-		rec.WriteManifest(flight.Manifest{
-			Tool:    "s2sanalyze",
-			Flags:   flight.FlagsSet(),
-			Records: recordsC.Value(),
-		})
-		if err := rec.Close(); err != nil {
-			return err
-		}
-		if *tracePath != "" {
-			log.Printf("wrote flight record to %s", *tracePath)
-		}
-	}
-	return nil
+	return rf.Finish(flight.Manifest{Records: recordsC.Value()})
 }
 
 // dataStem strips the dataset extension (.bin, .jsonl, or .store) so the

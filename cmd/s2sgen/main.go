@@ -142,44 +142,32 @@ func (w *flatCheckpointWriter) Checkpoint() (int64, error) {
 
 func run() error {
 	var (
-		seed       = flag.Int64("seed", 1, "random seed")
-		ases       = flag.Int("ases", 300, "number of ASes")
-		clusters   = flag.Int("clusters", 400, "number of CDN clusters")
-		mesh       = flag.Int("mesh", 24, "measurement mesh size")
-		days       = flag.Int("days", 30, "campaign duration in days")
-		kind       = flag.String("campaign", "longterm", "campaign: longterm, pings, or short")
-		out        = flag.String("o", "dataset", "output path prefix")
-		jsonl      = flag.Bool("jsonl", false, "write JSON lines instead of binary records")
-		useStore   = flag.Bool("store", false, "write a sharded store directory (<out>.store/) instead of a flat file")
-		compress   = flag.Bool("compress", false, "gzip store shard payloads (requires -store)")
-		storePS    = flag.Int("store-shards", 0, "pair-shard columns per virtual day (0 = store default)")
-		workers    = flag.Int("workers", 0, "measurement workers (0 = all cores, 1 = sequential)")
-		churn      = flag.Float64("churn", 1, "multiply routing-event rates (1 = default schedule)")
-		analyze    = flag.Bool("analyze", false, "attach streaming-analysis operators (routing/congestion/dualstack) to the record stream")
-		metrics    = flag.String("metrics", "", "write a final metrics snapshot to this path (.json = JSON, else Prometheus text)")
-		opsAddr    = flag.String("ops", "", "serve live ops endpoints (/metrics, /healthz, /runz, /analysisz, /flight/tail, /debug/pprof) on this address, e.g. :6060")
-		quiet      = flag.Bool("q", false, "suppress progress output on stderr")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this path")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this path")
-		blockprof  = flag.String("blockprofile", "", "write a goroutine blocking profile to this path")
-		mutexprof  = flag.String("mutexprofile", "", "write a mutex contention profile to this path")
-		tracePath  = flag.String("trace", "", "write a flight record (JSONL) to this path; inspect with s2sobs")
-		metricsIV  = flag.Duration("metrics-interval", 24*time.Hour, "virtual time between metric snapshots in the flight record")
-		faultSpec  = flag.String("faults", "", "inject a deterministic fault schedule: standard or heavy")
-		retries    = flag.Int("retry", 0, "retries per failed measurement (virtual-time backoff)")
-		watchdog   = flag.Duration("watchdog", 0, "wall-clock budget per round before it is abandoned as degraded (0 = off)")
-		ckptIV     = flag.Duration("checkpoint", 0, "virtual time between campaign checkpoints (<out>.ckpt; 0 = off)")
-		resume     = flag.Bool("resume", false, "resume an interrupted campaign from <out>.ckpt")
-		crashAt    = flag.Duration("crash-at", 0, "inject a crash at this virtual time (exit 7; for resume testing)")
-		benchJSON  = flag.String("benchjson", "", "run the fixed campaign benchmark and write a trajectory point (JSON) to this path, then exit")
-		benchBase  = flag.String("bench-baseline", "", "with -benchjson: compare B/op against this trajectory file, fail on >10% regression")
+		seed      = flag.Int64("seed", 1, "random seed")
+		ases      = flag.Int("ases", 300, "number of ASes")
+		clusters  = flag.Int("clusters", 400, "number of CDN clusters")
+		mesh      = flag.Int("mesh", 24, "measurement mesh size")
+		days      = flag.Int("days", 30, "campaign duration in days")
+		kind      = flag.String("campaign", "longterm", "campaign: longterm, pings, or short")
+		out       = flag.String("o", "dataset", "output path prefix")
+		jsonl     = flag.Bool("jsonl", false, "write JSON lines instead of binary records")
+		useStore  = flag.Bool("store", false, "write a sharded store directory (<out>.store/) instead of a flat file")
+		compress  = flag.Bool("compress", false, "gzip store shard payloads (requires -store)")
+		storePS   = flag.Int("store-shards", 0, "pair-shard columns per virtual day (0 = store default)")
+		workers   = flag.Int("workers", 0, "measurement workers (0 = all cores, 1 = sequential)")
+		churn     = flag.Float64("churn", 1, "multiply routing-event rates (1 = default schedule)")
+		analyze   = flag.Bool("analyze", false, "attach streaming-analysis operators (routing/congestion/dualstack) to the record stream")
+		rf        = ops.AddRunFlags("s2sgen", 24*time.Hour)
+		faultSpec = flag.String("faults", "", "inject a deterministic fault schedule: standard or heavy")
+		retries   = flag.Int("retry", 0, "retries per failed measurement (virtual-time backoff)")
+		watchdog  = flag.Duration("watchdog", 0, "wall-clock budget per round before it is abandoned as degraded (0 = off)")
+		ckptIV    = flag.Duration("checkpoint", 0, "virtual time between campaign checkpoints (<out>.ckpt; 0 = off)")
+		resume    = flag.Bool("resume", false, "resume an interrupted campaign from <out>.ckpt")
+		crashAt   = flag.Duration("crash-at", 0, "inject a crash at this virtual time (exit 7; for resume testing)")
+		benchJSON = flag.String("benchjson", "", "run the fixed campaign benchmark and write a trajectory point (JSON) to this path, then exit")
+		benchBase = flag.String("bench-baseline", "", "with -benchjson: compare B/op against this trajectory file, fail on >10% regression")
 	)
-	flag.Parse()
-	if err := obs.ValidateRunFlags(*metricsIV, *opsAddr); err != nil {
-		fmt.Fprintf(os.Stderr, "s2sgen: %v\n", err)
-		os.Exit(2)
-	}
-	log := obs.NewLogger("s2sgen", *quiet)
+	rf.Parse()
+	log := rf.Log
 	if *benchJSON != "" {
 		return runBench(*benchJSON, *benchBase, log)
 	}
@@ -198,18 +186,18 @@ func run() error {
 		return fmt.Errorf("unknown campaign %q", *kind)
 	}
 
-	obs.DumpOnSIGQUIT()
-	stopProfiles, err := obs.StartProfiles(obs.Profiles{
-		CPU: *cpuprofile, Mem: *memprofile, Block: *blockprof, Mutex: *mutexprof,
-	})
-	if err != nil {
+	// Telemetry: every subsystem registers its counters here; the engine
+	// joins in through the campaign config. Metrics only observe, so the
+	// record stream is byte-identical with or without them. The flight
+	// recorder (spans and periodic metric snapshots) keeps the same
+	// observation-only contract; a nil recorder threads through every
+	// subsystem as a no-op.
+	reg := obs.NewRegistry()
+	if err := rf.Start(reg); err != nil {
 		return err
 	}
-	defer func() {
-		if perr := stopProfiles(); perr != nil {
-			log.Errorf("profiles: %v", perr)
-		}
-	}()
+	defer rf.Stop()
+	rec := rf.Rec
 
 	start := time.Now()
 	duration := time.Duration(*days) * 24 * time.Hour
@@ -266,37 +254,9 @@ func run() error {
 		log.Printf("fault plan: %s", plan)
 	}
 
-	// Telemetry: every subsystem registers its counters here; the engine
-	// joins in through the campaign config. Metrics only observe, so the
-	// record stream is byte-identical with or without them.
-	reg := obs.NewRegistry()
 	sim.Instrument(reg)
 	dyn.Instrument(reg)
 	prober.Instrument(reg)
-
-	// Flight recorder: spans and periodic metric snapshots, same
-	// observation-only contract. A nil recorder threads through every
-	// subsystem as a no-op.
-	var rec *flight.Recorder
-	switch {
-	case *tracePath != "":
-		rec, err = flight.Create(*tracePath, flight.Options{
-			Tool:            "s2sgen",
-			Registry:        reg,
-			MetricsInterval: *metricsIV,
-		})
-		if err != nil {
-			return err
-		}
-	case *opsAddr != "":
-		// No trace file, but the live ops endpoint still needs the stream
-		// for /flight/tail and the alert engine: record into the void.
-		rec = flight.New(io.Discard, flight.Options{
-			Tool:            "s2sgen",
-			Registry:        reg,
-			MetricsInterval: *metricsIV,
-		})
-	}
 	if rec != nil {
 		sim.Trace(rec)
 		dyn.Trace(rec)
@@ -332,11 +292,9 @@ func run() error {
 	// Live telemetry: ops HTTP server and/or alert engine. Both observe the
 	// same registry and recorder the run already feeds, so turning them on
 	// cannot change the dataset (see TestOpsDoesNotPerturbRecords).
-	stopOps, err := ops.StartRun(*opsAddr, "s2sgen", reg, rec, analysisSrc, log)
-	if err != nil {
+	if err := rf.Serve(analysisSrc); err != nil {
 		return err
 	}
-	defer stopOps()
 
 	// Dataset sink. Both paths go through campaign.WriteSink: the first
 	// write error is remembered and reported after the campaign; later
@@ -587,26 +545,8 @@ func run() error {
 	reg.Gauge(obs.MetricRunWallSeconds, "wall-clock duration of the run").Set(wall.Seconds())
 	reg.Counter(obs.MetricRunRecords, "records the run wrote").Add(count)
 	reg.Gauge(obs.MetricRunRecordsPerSec, "records written per wall-clock second").Set(float64(count) / wall.Seconds())
-	if *metrics != "" {
-		if err := obs.WriteFile(*metrics, reg); err != nil {
-			return err
-		}
-		log.Printf("wrote metrics snapshot to %s", *metrics)
-	}
-	if rec != nil {
-		rec.WriteManifest(flight.Manifest{
-			Tool:       "s2sgen",
-			Seed:       *seed,
-			Flags:      flight.FlagsSet(),
-			TopoDigest: topo.Digest(),
-			Records:    count,
-		})
-		if err := rec.Close(); err != nil {
-			return err
-		}
-		if *tracePath != "" {
-			log.Printf("wrote flight record to %s", *tracePath)
-		}
+	if err := rf.Finish(flight.Manifest{Seed: *seed, TopoDigest: topo.Digest(), Records: count}); err != nil {
+		return err
 	}
 
 	log.Printf("wrote %d records to %s (+ .bgp.tsv, .rel.tsv, .loc.tsv) in %v",

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -59,43 +58,18 @@ func main() {
 
 func run() error {
 	var (
-		scaleName  = flag.String("scale", "default", "simulation scale: test, default, or full")
-		seed       = flag.Int64("seed", 1, "master random seed")
-		only       = flag.String("only", "", "comma-separated experiment ids (default: all)")
-		list       = flag.Bool("list", false, "list experiment ids and exit")
-		svgDir     = flag.String("svgdir", "", "write rendered figures (SVG) into this directory")
-		archive    = flag.String("archive", "", "persist the long-term campaign into a store directory at this path")
-		days       = flag.Int("days", 0, "override the long-term campaign length (days)")
-		mesh       = flag.Int("mesh", 0, "override the long-term mesh size")
-		metrics    = flag.String("metrics", "", "write a final metrics snapshot to this path (.json = JSON, else Prometheus text)")
-		opsAddr    = flag.String("ops", "", "serve live ops endpoints (/metrics, /healthz, /runz, /flight/tail, /debug/pprof) on this address, e.g. :6060")
-		quiet      = flag.Bool("q", false, "suppress progress output on stderr")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this path")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this path")
-		blockprof  = flag.String("blockprofile", "", "write a goroutine blocking profile to this path")
-		mutexprof  = flag.String("mutexprofile", "", "write a mutex contention profile to this path")
-		tracePath  = flag.String("trace", "", "write a flight record (JSONL) to this path; inspect with s2sobs")
-		metricsIV  = flag.Duration("metrics-interval", 24*time.Hour, "virtual time between metric snapshots in the flight record")
+		scaleName = flag.String("scale", "default", "simulation scale: test, default, or full")
+		seed      = flag.Int64("seed", 1, "master random seed")
+		only      = flag.String("only", "", "comma-separated experiment ids (default: all)")
+		list      = flag.Bool("list", false, "list experiment ids and exit")
+		svgDir    = flag.String("svgdir", "", "write rendered figures (SVG) into this directory")
+		archive   = flag.String("archive", "", "persist the long-term campaign into a store directory at this path")
+		days      = flag.Int("days", 0, "override the long-term campaign length (days)")
+		mesh      = flag.Int("mesh", 0, "override the long-term mesh size")
+		rf        = ops.AddRunFlags("s2sreport", 24*time.Hour)
 	)
-	flag.Parse()
-	if err := obs.ValidateRunFlags(*metricsIV, *opsAddr); err != nil {
-		fmt.Fprintf(os.Stderr, "s2sreport: %v\n", err)
-		os.Exit(2)
-	}
-	log := obs.NewLogger("s2sreport", *quiet)
-
-	obs.DumpOnSIGQUIT()
-	stopProfiles, err := obs.StartProfiles(obs.Profiles{
-		CPU: *cpuprofile, Mem: *memprofile, Block: *blockprof, Mutex: *mutexprof,
-	})
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if perr := stopProfiles(); perr != nil {
-			log.Errorf("profiles: %v", perr)
-		}
-	}()
+	rf.Parse()
+	log := rf.Log
 
 	if *list {
 		for _, e := range experiments.All() {
@@ -123,6 +97,11 @@ func run() error {
 	}
 	reg := obs.NewRegistry()
 	sc.Metrics = reg
+	if err := rf.Start(reg); err != nil {
+		return err
+	}
+	defer rf.Stop()
+	rec := rf.Rec
 
 	// The archive store receives the long-term campaign's records alongside
 	// the streaming analyses; provenance is stamped once the topology digest
@@ -130,6 +109,7 @@ func run() error {
 	var (
 		archiveW    *store.Writer
 		archiveSink *campaign.WriteSink
+		err         error
 	)
 	if *archive != "" {
 		archiveW, err = store.Create(*archive, store.Options{})
@@ -142,35 +122,15 @@ func run() error {
 		sc.Archive = archiveSink
 	}
 
-	var rec *flight.Recorder
-	switch {
-	case *tracePath != "":
-		rec, err = flight.Create(*tracePath, flight.Options{
-			Tool:            "s2sreport",
-			Registry:        reg,
-			MetricsInterval: *metricsIV,
-		})
-		if err != nil {
-			return err
-		}
-	case *opsAddr != "":
-		rec = flight.New(io.Discard, flight.Options{
-			Tool:            "s2sreport",
-			Registry:        reg,
-			MetricsInterval: *metricsIV,
-		})
-	}
 	if rec != nil {
 		sc.Trace = rec
 		if archiveSink != nil {
 			archiveSink.Trace(rec)
 		}
 	}
-	stopOps, err := ops.StartRun(*opsAddr, "s2sreport", reg, rec, nil, log)
-	if err != nil {
+	if err := rf.Serve(nil); err != nil {
 		return err
 	}
-	defer stopOps()
 
 	var selected []experiments.Experiment
 	if *only == "" {
@@ -237,25 +197,8 @@ func run() error {
 
 	wall := time.Since(start)
 	reg.Gauge(obs.MetricRunWallSeconds, "wall-clock duration of the run").Set(wall.Seconds())
-	if *metrics != "" {
-		if err := obs.WriteFile(*metrics, reg); err != nil {
-			return err
-		}
-		log.Printf("wrote metrics snapshot to %s", *metrics)
-	}
-	if rec != nil {
-		rec.WriteManifest(flight.Manifest{
-			Tool:       "s2sreport",
-			Seed:       *seed,
-			Flags:      flight.FlagsSet(),
-			TopoDigest: env.Topo.Digest(),
-		})
-		if err := rec.Close(); err != nil {
-			return err
-		}
-		if *tracePath != "" {
-			log.Printf("wrote flight record to %s", *tracePath)
-		}
+	if err := rf.Finish(flight.Manifest{Seed: *seed, TopoDigest: env.Topo.Digest()}); err != nil {
+		return err
 	}
 	log.Printf("done in %v", wall.Round(time.Millisecond))
 	return nil

@@ -29,7 +29,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -52,29 +51,17 @@ func main() {
 
 func run() error {
 	var (
-		seed       = flag.Int64("seed", 1, "random seed")
-		ases       = flag.Int("ases", 300, "number of ASes")
-		clusters   = flag.Int("clusters", 400, "number of CDN clusters")
-		links      = flag.Bool("links", false, "dump every AS-level link")
-		platform   = flag.Bool("platform", false, "dump every cluster")
-		storeDir   = flag.String("store", "", "print the manifest of this dataset store and exit")
-		shards     = flag.Bool("shards", false, "with -store, dump the per-shard table")
-		verify     = flag.Bool("verify", false, "with -store, run an integrity check (fsck) instead of printing the manifest")
-		metrics    = flag.String("metrics", "", "write a final metrics snapshot to this path (.json = JSON, else Prometheus text)")
-		opsAddr    = flag.String("ops", "", "serve live ops endpoints (/metrics, /healthz, /runz, /flight/tail, /debug/pprof) on this address, e.g. :6060")
-		quiet      = flag.Bool("q", false, "suppress progress output on stderr")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this path")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this path")
-		blockprof  = flag.String("blockprofile", "", "write a goroutine blocking profile to this path")
-		mutexprof  = flag.String("mutexprofile", "", "write a mutex contention profile to this path")
-		tracePath  = flag.String("trace", "", "write a flight record (JSONL) to this path; inspect with s2sobs")
+		seed     = flag.Int64("seed", 1, "random seed")
+		ases     = flag.Int("ases", 300, "number of ASes")
+		clusters = flag.Int("clusters", 400, "number of CDN clusters")
+		links    = flag.Bool("links", false, "dump every AS-level link")
+		platform = flag.Bool("platform", false, "dump every cluster")
+		storeDir = flag.String("store", "", "print the manifest of this dataset store and exit")
+		shards   = flag.Bool("shards", false, "with -store, dump the per-shard table")
+		verify   = flag.Bool("verify", false, "with -store, run an integrity check (fsck) instead of printing the manifest")
+		rf       = ops.AddRunFlags("s2stopo", 0)
 	)
-	flag.Parse()
-	if err := obs.ValidateOpsAddr(*opsAddr); err != nil {
-		fmt.Fprintf(os.Stderr, "s2stopo: %v\n", err)
-		os.Exit(2)
-	}
-	log := obs.NewLogger("s2stopo", *quiet)
+	rf.Parse()
 
 	if *storeDir != "" {
 		if *verify {
@@ -83,35 +70,15 @@ func run() error {
 		return printStore(*storeDir, *shards)
 	}
 
-	obs.DumpOnSIGQUIT()
-	stopProfiles, err := obs.StartProfiles(obs.Profiles{
-		CPU: *cpuprofile, Mem: *memprofile, Block: *blockprof, Mutex: *mutexprof,
-	})
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if perr := stopProfiles(); perr != nil {
-			log.Errorf("profiles: %v", perr)
-		}
-	}()
-
 	reg := obs.NewRegistry()
-	var rec *flight.Recorder
-	switch {
-	case *tracePath != "":
-		rec, err = flight.Create(*tracePath, flight.Options{Tool: "s2stopo", Registry: reg})
-		if err != nil {
-			return err
-		}
-	case *opsAddr != "":
-		rec = flight.New(io.Discard, flight.Options{Tool: "s2stopo", Registry: reg})
-	}
-	stopOps, err := ops.StartRun(*opsAddr, "s2stopo", reg, rec, nil, log)
-	if err != nil {
+	if err := rf.Start(reg); err != nil {
 		return err
 	}
-	defer stopOps()
+	defer rf.Stop()
+	if err := rf.Serve(nil); err != nil {
+		return err
+	}
+	rec, log := rf.Rec, rf.Log
 
 	start := time.Now()
 	sp := rec.Begin("as_topology", 0)
@@ -204,35 +171,15 @@ func run() error {
 		}
 	}
 
-	if *metrics != "" || *opsAddr != "" {
+	if rf.Metrics != "" || rf.Ops != "" {
 		reg.Gauge(obs.MetricRunWallSeconds, "wall-clock duration of the run").Set(time.Since(start).Seconds())
 		reg.Gauge("s2s_topo_ases", "ASes in the generated topology").Set(float64(len(topo.ASes)))
 		reg.Gauge("s2s_topo_as_links", "AS-level links in the generated topology").Set(float64(len(topo.Links)))
 		reg.Gauge("s2s_topo_routers", "routers in the generated network").Set(float64(len(net.Routers)))
 		reg.Gauge("s2s_topo_router_links", "router-level links in the generated network").Set(float64(len(net.Links)))
 		reg.Gauge("s2s_topo_clusters", "CDN clusters deployed").Set(float64(len(plat.Clusters)))
-		if *metrics != "" {
-			if err := obs.WriteFile(*metrics, reg); err != nil {
-				return err
-			}
-			log.Printf("wrote metrics snapshot to %s", *metrics)
-		}
 	}
-	if rec != nil {
-		rec.WriteManifest(flight.Manifest{
-			Tool:       "s2stopo",
-			Seed:       *seed,
-			Flags:      flight.FlagsSet(),
-			TopoDigest: topo.Digest(),
-		})
-		if err := rec.Close(); err != nil {
-			return err
-		}
-		if *tracePath != "" {
-			log.Printf("wrote flight record to %s", *tracePath)
-		}
-	}
-	return nil
+	return rf.Finish(flight.Manifest{Seed: *seed, TopoDigest: topo.Digest()})
 }
 
 // verifyStore fscks a dataset store and prints the report; a store with

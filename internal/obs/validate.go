@@ -34,12 +34,3 @@ func ValidateMetricsInterval(d time.Duration) error {
 	}
 	return nil
 }
-
-// ValidateRunFlags bundles the shared telemetry flag checks for CLIs that
-// expose both -metrics-interval and -ops.
-func ValidateRunFlags(metricsInterval time.Duration, opsAddr string) error {
-	if err := ValidateMetricsInterval(metricsInterval); err != nil {
-		return err
-	}
-	return ValidateOpsAddr(opsAddr)
-}
