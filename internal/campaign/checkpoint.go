@@ -135,6 +135,35 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return &c, nil
 }
 
+// saveCheckpoint atomically replaces path with cp: write to a temp file,
+// fsync, rename.
+func saveCheckpoint(path string, cp *Checkpoint) error {
+	data, err := json.MarshalIndent(cp, "", "  ")
+	if err != nil {
+		return err
+	}
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(append(data, '\n')); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return nil
+}
+
 // Checkpointer writes periodic campaign checkpoints. Every Interval of
 // virtual time it asks the sink for a durable position and atomically
 // replaces Path (write to a temp file, fsync, rename), so a crash at any
@@ -185,27 +214,7 @@ func (ck *Checkpointer) write(kind string, interval, duration, resumeAt time.Dur
 	if ck.Records != nil {
 		cp.Records = ck.Records()
 	}
-	data, err := json.MarshalIndent(&cp, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := ck.Path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err = f.Write(append(data, '\n')); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, ck.Path); err != nil {
-		os.Remove(tmp)
+	if err := saveCheckpoint(ck.Path, &cp); err != nil {
 		return err
 	}
 	if ck.Metrics != nil && ck.counter == nil {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"net/netip"
 	"net/url"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -304,15 +307,16 @@ func TestParsePairQuery(t *testing.T) {
 	}
 }
 
-// FuzzParsePairQuery feeds ParsePairQuery raw query strings, an input the
-// service does not control. No input may panic, and every accepted query
-// must re-parse from its CanonicalKey parameters to an equal PairQuery.
-func FuzzParsePairQuery(f *testing.F) {
+// pairQuerySeeds is the seed corpus of raw query strings shared by
+// FuzzParsePairQuery and FuzzHandlers: load-generator queries plus edge
+// cases of every parameter.
+func pairQuerySeeds() []string {
+	var seeds []string
 	pairs := []trace.PairKey{{SrcID: 0, DstID: 1}, {SrcID: 2, DstID: 1, V6: true}}
 	for _, q := range Schedule(1, 0, pairs, 16, 0) {
-		f.Add(q.Values().Encode())
+		seeds = append(seeds, q.Values().Encode())
 	}
-	for _, raw := range []string{
+	return append(seeds,
 		"src=1&dst=2&to=-1",
 		"src=1&dst=2&from=-3h",
 		"src=1&dst=2&from=-5&to=-7",
@@ -326,7 +330,14 @@ func FuzzParsePairQuery(f *testing.F) {
 		"src=&dst=2",
 		"src=1&dst=2&v6=maybe",
 		"%zz",
-	} {
+	)
+}
+
+// FuzzParsePairQuery feeds ParsePairQuery raw query strings, an input the
+// service does not control. No input may panic, and every accepted query
+// must re-parse from its CanonicalKey parameters to an equal PairQuery.
+func FuzzParsePairQuery(f *testing.F) {
+	for _, raw := range pairQuerySeeds() {
 		f.Add(raw)
 	}
 	f.Fuzz(func(t *testing.T, raw string) {
@@ -349,6 +360,39 @@ func FuzzParsePairQuery(f *testing.F) {
 		}
 		if again != q {
 			t.Fatalf("%q parsed to %+v, its canonical key to %+v", raw, q, again)
+		}
+	})
+}
+
+// FuzzHandlers drives every /api/* route of one replica with a raw query
+// string. No input may panic or make a handler fail with a 5xx: a query
+// is answered (200) or rejected as malformed (400). Every answer carries
+// its body's digest and the replica's archive identity.
+func FuzzHandlers(f *testing.F) {
+	be := openTestBackend(f, buildStore(f, 3, 6))
+	r := NewReplica(ReplicaOptions{Backend: be, CacheEntries: 64, Registry: obs.NewRegistry()})
+	handlers := r.Handlers()
+	for _, raw := range pairQuerySeeds() {
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		for _, ep := range Endpoints {
+			req := httptest.NewRequest(http.MethodGet, "/api/"+ep, nil)
+			req.URL.RawQuery = raw
+			rr := httptest.NewRecorder()
+			handlers["/api/"+ep].ServeHTTP(rr, req)
+			switch rr.Code {
+			case http.StatusOK:
+				if got, want := rr.Header().Get("X-S2S-Digest"), Digest(rr.Body.Bytes()); got != want {
+					t.Fatalf("/api/%s?%s: X-S2S-Digest %q, body digests to %q", ep, raw, got, want)
+				}
+				if got := rr.Header().Get("X-S2S-Archive"); got != be.ArchiveID() {
+					t.Fatalf("/api/%s?%s: X-S2S-Archive %q, want %q", ep, raw, got, be.ArchiveID())
+				}
+			case http.StatusBadRequest:
+			default:
+				t.Fatalf("/api/%s?%s: status %d: %s", ep, raw, rr.Code, rr.Body.Bytes())
+			}
 		}
 	})
 }

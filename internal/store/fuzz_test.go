@@ -121,3 +121,50 @@ func FuzzShardName(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadManifest feeds ReadManifest arbitrary manifest files, an input
+// a reader does not control. No input may panic; every accepted manifest
+// must write and read back to an equal value; and Open on a directory
+// holding only that manifest must not panic, and must fail when the
+// manifest lists a shard, since no shard file exists.
+func FuzzReadManifest(f *testing.F) {
+	for _, compress := range []string{"", CompressionGzip} {
+		dir := writeStore(f, synthCorpus(9, 3, 2, 2), Options{PairShards: 2, Compression: compress})
+		data, err := os.ReadFile(filepath.Join(dir, ManifestName))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"version":1,"day_length_ns":1,"pair_shards":1,"shards":[]}`))
+	f.Add([]byte(`{"version":1,"day_length_ns":1,"pair_shards":1,"shards":[{"file":"../x"}]}`))
+	f.Add([]byte(`{"version":1,"day_length_ns":1,"pair_shards":1,"shards":[{"file":"a","day":-1},{"file":"a","day":-1}]}`))
+	f.Add([]byte(`{"version":1,"day_length_ns":-5,"pair_shards":0}`))
+	f.Add([]byte(`{"version":2}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := ReadManifest(dir)
+		if err != nil {
+			return
+		}
+		again := t.TempDir()
+		if err := WriteManifest(again, m); err != nil {
+			t.Fatalf("accepted manifest does not write: %v", err)
+		}
+		back, err := ReadManifest(again)
+		if err != nil {
+			t.Fatalf("written manifest does not read: %v", err)
+		}
+		if !reflect.DeepEqual(m, back) {
+			t.Fatalf("manifest changed across write and read:\n%+v\n%+v", m, back)
+		}
+		if _, err := Open(dir); err == nil && len(m.Shards) > 0 {
+			t.Fatalf("Open succeeded on a manifest listing %d shards and no shard files", len(m.Shards))
+		}
+	})
+}
